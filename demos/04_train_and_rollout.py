@@ -44,11 +44,12 @@ print(f"trained 30 epochs in {time.perf_counter() - started:.0f}s; "
       f"loss {history[0]['train_loss']:.4f} -> {history[-1]['train_loss']:.4f}")
 
 print("\n== 5 s rollouts vs the constant-velocity baseline ==")
+# one batched decode covers every window
+preds = predict_autoregressive(params, np.stack(standardized), fset.last_obs_m, wcfg.kappa)
 model_err, kalman_err = [], []
 for i in range(len(fset)):
-    pred = predict_autoregressive(params, standardized[i], fset.last_obs_m[i], wcfg.kappa)
     base = cv_kalman_predict(fset.obs_m[i], wcfg.kappa, 1.0 / wcfg.rate_hz)
-    model_err.append(ade(pred, fset.fut_m[i], wcfg.kappa))
+    model_err.append(ade(preds[i], fset.fut_m[i], wcfg.kappa))
     kalman_err.append(ade(base, fset.fut_m[i], wcfg.kappa))
 print(f"mean 5 s ADE  model: {np.mean(model_err):.3f} m   "
       f"cv_kalman: {np.mean(kalman_err):.3f} m")
@@ -58,7 +59,7 @@ OUT.mkdir(parents=True, exist_ok=True)
 case = int(np.argmax(kalman_err))
 scene_map = next(s.scene_map for s in scenes
                  if s.scene_map.scene_id == fset.keys[case][0])
-pred = predict_autoregressive(params, standardized[case], fset.last_obs_m[case], wcfg.kappa)
+pred = preds[case]
 base = cv_kalman_predict(fset.obs_m[case], wcfg.kappa, 1.0 / wcfg.rate_hz)
 print(f"\nworst window for the baseline: {fset.keys[case]} "
       f"(kalman {kalman_err[case]:.2f} m, model {model_err[case]:.2f} m)")

@@ -13,8 +13,8 @@ import numpy as np
 from trajformer.data import WindowConfig
 from trajformer.evaluation import MetricsTable, evaluate, render_markdown
 from trajformer.features import FeatureStats, PolarGridConfig, SemanticConfig
-from trajformer.model import ModelConfig, ModelParams, predict_autoregressive
-from trajformer.pipeline import build_feature_set
+from trajformer.model import ModelConfig, ModelParams
+from trajformer.pipeline import build_feature_set, decode_predictor
 from trajformer.synth import generate_scenes
 from trajformer.training import TrainConfig, train
 
@@ -44,11 +44,10 @@ ctx_params, ctx_stats = fit(context=True)
 print("training the offsets-only ablation ...")
 van_params, van_stats = fit(context=False)
 
+# each predictor decodes every test window in one batched call
 predictors = {
-    "context_tf": lambda c: predict_autoregressive(
-        ctx_params, ctx_stats.apply(c.features), c.last_obs_m, len(c.fut_m)),
-    "vanilla_tf": lambda c: predict_autoregressive(
-        van_params, van_stats.apply(c.features[:, :2]), c.last_obs_m, len(c.fut_m)),
+    "context_tf": decode_predictor(ctx_params, ctx_stats, test_set, context=True),
+    "vanilla_tf": decode_predictor(van_params, van_stats, test_set, context=False),
 }
 table = evaluate(predictors, test_set.cases(), [1, 2, 3, 4, 5], wcfg.rate_hz,
                  dataset="obstacle_heldout", train_dataset="obstacle_train")

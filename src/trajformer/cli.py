@@ -23,10 +23,9 @@ from .data import WindowConfig, load_dataset_root, write_tracks
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import cv_kalman_predict, emit_report, evaluate
 from .features import FeatureStats, PolarGridConfig, SemanticConfig
-from .model import (Checkpoint, ModelParams, load_checkpoint, predict_autoregressive,
-                    save_checkpoint)
-from .pipeline import (FeatureSet, build_feature_set, load_feature_cache, resample_scene,
-                       save_feature_cache)
+from .model import Checkpoint, ModelParams, load_checkpoint, save_checkpoint
+from .pipeline import (FeatureSet, build_feature_set, decode_predictor, load_feature_cache,
+                       resample_scene, save_feature_cache)
 from .plots import render_window_svg
 from .synth import SCENARIOS, synth_dataset
 from .training import AdamState, TrainConfig, train
@@ -220,17 +219,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_predictor(ckpt: Checkpoint, context: bool):
-    stats = ckpt.stats
-
-    def predict(case):
-        features = case.features if context else case.features[:, :2]
-        return predict_autoregressive(ckpt.params, stats.apply(features),
-                                      case.last_obs_m, len(case.fut_m))
-
-    return predict
-
-
 def _load_eval_cases(cfg: RunConfig, root: str) -> FeatureSet:
     scenes = [resample_scene(s, cfg.window.rate_hz) for s in load_dataset_root(root, cfg.adapter)]
     return build_feature_set(scenes, cfg.window, cfg.grid, cfg.semantic, context=True,
@@ -253,39 +241,42 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"test dataset root {test_root!r} does not exist")
 
     predictors = {}
+    checkpoints = {}  # method -> (checkpoint, context); decoded once the test set is built
     train_dataset = None
     if "oracle" in methods:
         predictors["oracle"] = lambda case: case.fut_m.copy()
     if "context_tf" in methods:
         if not args.checkpoint:
             raise ConfigError("method context_tf needs --checkpoint")
-        ckpt = load_checkpoint(args.checkpoint)
+        ckpt = load_checkpoint(args.checkpoint, with_adam=False)
         if not ckpt.meta.get("context"):
             raise ConfigError("--checkpoint was trained without context features")
         _require_window_match(ckpt, cfg)
         train_dataset = ckpt.meta.get("train_dataset")
-        predictors["context_tf"] = _model_predictor(ckpt, context=True)
+        checkpoints["context_tf"] = (ckpt, True)
     if "vanilla_tf" in methods:
         if not args.vanilla_checkpoint:
             raise ConfigError("method vanilla_tf needs --vanilla-checkpoint")
-        vckpt = load_checkpoint(args.vanilla_checkpoint)
+        vckpt = load_checkpoint(args.vanilla_checkpoint, with_adam=False)
         if vckpt.meta.get("context"):
             raise ConfigError("--vanilla-checkpoint was trained with context features")
         _require_window_match(vckpt, cfg)
         train_dataset = train_dataset or vckpt.meta.get("train_dataset")
-        predictors["vanilla_tf"] = _model_predictor(vckpt, context=False)
+        checkpoints["vanilla_tf"] = (vckpt, False)
     if "cv_kalman" in methods:
         dt = 1.0 / cfg.window.rate_hz
         predictors["cv_kalman"] = lambda case: cv_kalman_predict(
             case.obs_m, len(case.fut_m), dt,
             cfg.kalman_process_noise, cfg.kalman_measurement_noise)
-    if not predictors:
+    if not methods:
         raise ConfigError("no methods requested")
 
     with _OutputLock(cfg.out_dir):
         fset = _load_eval_cases(cfg, test_root)
         if len(fset) == 0:
             raise DataError(f"no evaluation windows in {test_root}")
+        for method, (ckpt, context) in checkpoints.items():
+            predictors[method] = decode_predictor(ckpt.params, ckpt.stats, fset, context)
         table = evaluate(
             predictors, fset.cases(), cfg.horizons_s, cfg.window.rate_hz,
             dataset=Path(test_root).name, train_dataset=train_dataset,
@@ -307,7 +298,7 @@ def _require_window_match(ckpt: Checkpoint, cfg: RunConfig) -> None:
 
 
 def cmd_predict(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, with_adam=False)
     meta = ckpt.meta
     window = WindowConfig(**meta["window"])
     grid = PolarGridConfig(**meta["grid"])
@@ -324,7 +315,7 @@ def cmd_predict(args) -> int:
         if len(fset) == 0:
             raise DataError(f"no windows in {args.root}")
         maps_by_scene = {s.scene_map.scene_id: s.scene_map for s in scenes}
-        predictor = _model_predictor(ckpt, context)
+        predictor = decode_predictor(ckpt.params, ckpt.stats, fset, context)
 
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_path = out_dir / "predictions.csv"

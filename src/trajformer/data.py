@@ -99,10 +99,14 @@ class TrajectoryWindow:
 # ------------------------------------------------------------- loading
 
 def _parse_float(value: str, path, row_no: int, col: str) -> float:
+    """A finite float, or DataError naming the file, row and column."""
     try:
-        return float(value)
+        parsed = float(value)
     except (TypeError, ValueError):
         raise DataError(f"{path} row {row_no}: bad {col} value {value!r}") from None
+    if not math.isfinite(parsed):
+        raise DataError(f"{path} row {row_no}: non-finite {col} value {value!r}")
+    return parsed
 
 
 def load_tracks(path, adapter: str = "canonical") -> tuple[list[AgentTrack], str]:
@@ -362,7 +366,11 @@ def parse_scene_meta(path) -> dict:
             if "=" not in line:
                 raise DataError(f"{path} line {line_no}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            meta[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
+            if key == "meters_per_pixel" and not _parse_float(value, path, line_no, key) > 0:
+                raise DataError(f"{path} row {line_no}: meters_per_pixel must be positive, "
+                                f"got {value!r}")
+            meta[key] = value
     for key in ("scene_id", "meters_per_pixel", "label_map"):
         if key not in meta:
             raise DataError(f"{path}: missing key {key!r}")
@@ -373,9 +381,7 @@ def load_scene_dir(scene_dir, adapter: str = "canonical") -> Scene:
     """Load one scene directory: scene.meta + label map + tracks file."""
     scene_dir = Path(scene_dir)
     meta = parse_scene_meta(scene_dir / "scene.meta")
-    mpp = float(meta["meters_per_pixel"])
-    if mpp <= 0:
-        raise DataError(f"{scene_dir}: meters_per_pixel must be positive, got {mpp}")
+    mpp = float(meta["meters_per_pixel"])  # validated by parse_scene_meta
     scene_map = load_scene_map(scene_dir / meta["label_map"], mpp, scene_id=meta["scene_id"])
     tracks_path = scene_dir / meta.get("tracks", "tracks.csv")
     tracks, file_scene_id = load_tracks(tracks_path, adapter)

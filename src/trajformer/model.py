@@ -3,9 +3,17 @@
 The encoder consumes the fused per-step context features; the decoder
 consumes 2-D offsets only (all context flows through the encoder memory)
 and starts from a learned start token. Layers are post-norm: sublayer,
-residual add, layer norm. Inference is autoregressive: each emitted offset
-is appended to the decoder input until kappa offsets exist, then absolute
-positions are rebuilt by cumulative sum from the last observed position.
+residual add, layer norm.
+
+Training runs teacher-forced on the autodiff tape. Inference is a separate
+plain-numpy forward pass over a batch of windows: the encoder runs once and
+each decoder layer's cross-attention keys/values are computed once from its
+memory; each decoder layer keeps a key/value cache that grows by one row per
+emitted offset, and only the newest row goes through the decoder. Under the
+causal mask, with row-wise feed-forward and post-norm, earlier decoder rows
+never change, so this equals re-running the decoder over the whole prefix.
+Absolute positions are rebuilt by cumulative sum from the last observed
+position.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DivergenceError
+from .errors import DataError, DivergenceError
 from .features import FeatureStats
 from .serialize import load_bundle, save_bundle
 
@@ -70,6 +78,14 @@ class ModelParams:
         rng = np.random.default_rng(seed)
         for name, shape in self.param_shapes(config).items():
             self.tensors[name] = Tensor(self._init_array(name, shape, rng))
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """Weights given by name, e.g. read from a checkpoint; no random init."""
+        params = cls.__new__(cls)
+        params.config = config
+        params.tensors = {name: Tensor(arr) for name, arr in arrays.items()}
+        return params
 
     @staticmethod
     def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
@@ -283,28 +299,113 @@ def teacher_forced_offsets(
     return project_output(decoded, params)
 
 
+# Windows decode together in chunks whose decoder key/value caches, cross-
+# attention keys/values and encoder memory (float64) fit in this many bytes.
+DECODE_BUDGET_BYTES = 64 * 2**20
+
+
+def decode_chunk_size(cfg: ModelConfig, src_len: int, kappa: int) -> int:
+    """Windows per decode chunk under DECODE_BUDGET_BYTES (at least one)."""
+    per_window = 8 * cfg.d_model * (2 * cfg.n_layers * (src_len + kappa) + src_len)
+    return max(1, DECODE_BUDGET_BYTES // per_window)
+
+
 def predict_autoregressive(
     params: ModelParams,
     features_std: np.ndarray,
     last_observed_pos: np.ndarray,
     kappa: int,
 ) -> np.ndarray:
-    """Roll the decoder forward kappa steps; returns absolute positions."""
+    """Roll the decoder forward kappa steps; returns absolute positions.
+
+    Features (B, L, F) with last positions (B, 2) give (B, kappa, 2); a
+    single (L, F) window with a (2,) position gives (kappa, 2).
+    """
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    memory = encoder_forward(embed_source(features_std, params), params)
-    offsets: list[np.ndarray] = []
+    cfg = params.config
+    feats = np.asarray(features_std, dtype=np.float64)
+    last = np.asarray(last_observed_pos, dtype=np.float64)
+    single = feats.ndim == 2
+    if single:
+        feats, last = feats[None], last[None]
+    if feats.ndim != 3 or feats.shape[2] != cfg.feature_dim:
+        raise ValueError(
+            f"features {feats.shape} do not match model feature_dim {cfg.feature_dim}"
+        )
+    if last.shape != (len(feats), cfg.out_dim):
+        raise ValueError(f"last positions {last.shape} do not match {len(feats)} windows")
+    weights = params.arrays()
+    offsets = np.empty((len(feats), kappa, cfg.out_dim))
+    chunk = decode_chunk_size(cfg, feats.shape[1], kappa)
+    for lo in range(0, len(feats), chunk):
+        offsets[lo:lo + chunk] = _decode(weights, cfg, feats[lo:lo + chunk], kappa, lo)
+    positions = last[:, None, :] + np.cumsum(offsets, axis=1)
+    return positions[0] if single else positions
+
+
+def _decode(w: dict, cfg: ModelConfig, feats: np.ndarray, kappa: int, first: int) -> np.ndarray:
+    """Offsets (B, kappa, out_dim) for one chunk; ``first`` numbers its windows."""
+    b, src_len, _ = feats.shape
+    h, d_k, d = cfg.n_heads, cfg.d_k, cfg.d_model
+
+    def heads(x):  # (B*T, d) -> (B, H, T, d_k)
+        return x.reshape(b, -1, h, d_k).transpose(0, 2, 1, 3)
+
+    def attend(q, k, v, prefix):  # heads in, (B*Tq, d) out
+        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d_k))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        merged = ((e / e.sum(axis=-1, keepdims=True)) @ v).transpose(0, 2, 1, 3).reshape(-1, d)
+        return merged @ w[f"{prefix}.wo"] + w[f"{prefix}.bo"]
+
+    def proj(x, prefix, p):
+        return x @ w[f"{prefix}.w{p}"] + w[f"{prefix}.b{p}"]
+
+    def norm(x, prefix):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        return xc * inv * w[f"{prefix}.gain"] + w[f"{prefix}.bias"]
+
+    def feed_forward(x, prefix):
+        hidden = proj(x, prefix, 1)
+        return proj(hidden * (hidden > 0), prefix, 2)
+
+    # encoder over the whole chunk, rows flattened to (B*L, d)
+    x = (feats.reshape(-1, cfg.feature_dim) @ w["src_embed.w"] + w["src_embed.b"]
+         + np.tile(positional_encoding(src_len, d), (b, 1)))
+    for i in range(cfg.n_layers):
+        p = f"enc{i}.attn"
+        attn = attend(heads(proj(x, p, "q")), heads(proj(x, p, "k")), heads(proj(x, p, "v")), p)
+        x = norm(x + attn, f"enc{i}.norm1")
+        x = norm(x + feed_forward(x, f"enc{i}.ff"), f"enc{i}.norm2")
+    cross = [(heads(proj(x, f"dec{i}.cross_attn", "k")), heads(proj(x, f"dec{i}.cross_attn", "v")))
+             for i in range(cfg.n_layers)]
+
+    cache_k = np.empty((cfg.n_layers, b, h, kappa, d_k))
+    cache_v = np.empty_like(cache_k)
+    tgt_pe = positional_encoding(kappa, d)
+    offsets = np.empty((b, kappa, cfg.out_dim))
+    y = np.repeat(w["start_token"], b, axis=0)
     for step in range(kappa):
-        dec_in = params["start_token"]
-        if offsets:
-            dec_in = ad.concat([dec_in, Tensor(np.stack(offsets))], axis=0)
-        decoded = decoder_forward(embed_target(dec_in, params), memory, params)
-        out = project_output(decoded, params)
-        nxt = out.data[-1]
-        if not np.all(np.isfinite(nxt)):
-            raise DivergenceError(f"non-finite offset at decode step {step}")
-        offsets.append(nxt.copy())
-    return np.asarray(last_observed_pos, dtype=np.float64) + np.cumsum(offsets, axis=0)
+        x = y @ w["tgt_embed.w"] + w["tgt_embed.b"] + tgt_pe[step]
+        for i in range(cfg.n_layers):
+            p = f"dec{i}.self_attn"
+            cache_k[i, :, :, step] = proj(x, p, "k").reshape(b, h, d_k)
+            cache_v[i, :, :, step] = proj(x, p, "v").reshape(b, h, d_k)
+            attn = attend(heads(proj(x, p, "q")), cache_k[i, :, :, :step + 1],
+                          cache_v[i, :, :, :step + 1], p)
+            x = norm(x + attn, f"dec{i}.norm1")
+            p = f"dec{i}.cross_attn"
+            x = norm(x + attend(heads(proj(x, p, "q")), *cross[i], p), f"dec{i}.norm2")
+            x = norm(x + feed_forward(x, f"dec{i}.ff"), f"dec{i}.norm3")
+        y = x @ w["out_proj.w"] + w["out_proj.b"]
+        bad = ~np.isfinite(y).all(axis=1)
+        if bad.any():
+            raise DivergenceError(
+                f"non-finite offset at decode step {step} in window {first + int(np.argmax(bad))}"
+            )
+        offsets[:, step] = y
+    return offsets
 
 
 # ---------------------------------------------------------- checkpoints
@@ -345,18 +446,36 @@ class Checkpoint:
     adam_moments: tuple[dict, dict, int] | None
 
 
-def load_checkpoint(path) -> Checkpoint:
-    arrays, header = load_bundle(path)
-    config = ModelConfig(**header["config"])
-    params = ModelParams(config)
-    for name in params.names():
-        params.tensors[name] = Tensor(arrays[f"param.{name}"])
+def load_checkpoint(path, with_adam: bool = True) -> Checkpoint:
+    """Read a checkpoint; ``with_adam=False`` skips the optimizer moments'
+    bytes, which only resuming training needs."""
+    _, header = load_bundle(path, names=())
+    try:
+        config = ModelConfig(**header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad model config in checkpoint ({exc})") from None
+    shapes = ModelParams.param_shapes(config)
+    names = {f"param.{n}" for n in shapes} | {"stats.mean", "stats.std"}
+    if with_adam:
+        names |= {f"adam.{m}.{n}" for m in "mv" for n in shapes}
+    arrays, header = load_bundle(path, names)
+
+    def take(name, shape=None):
+        if name not in arrays:
+            raise DataError(f"{path}: checkpoint lacks array {name!r}")
+        if shape is not None and arrays[name].shape != shape:
+            raise DataError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                            f"expected {shape}")
+        return arrays[name]
+
+    params = ModelParams.from_arrays(
+        config, {n: take(f"param.{n}", shape) for n, shape in shapes.items()})
     stats = None
-    if "stats.mean" in arrays:
-        stats = FeatureStats(arrays["stats.mean"], arrays["stats.std"])
+    if "stats.mean" in arrays or "stats.std" in arrays:
+        stats = FeatureStats(take("stats.mean"), take("stats.std"))
     adam = None
-    if "adam_tau" in header:
-        m = {n[len("adam.m."):]: a for n, a in arrays.items() if n.startswith("adam.m.")}
-        v = {n[len("adam.v."):]: a for n, a in arrays.items() if n.startswith("adam.v.")}
+    if with_adam and "adam_tau" in header:
+        m = {n: take(f"adam.m.{n}", shape) for n, shape in shapes.items()}
+        v = {n: take(f"adam.v.{n}", shape) for n, shape in shapes.items()}
         adam = (m, v, int(header["adam_tau"]))
     return Checkpoint(params=params, stats=stats, meta=header, adam_moments=adam)

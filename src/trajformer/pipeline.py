@@ -13,10 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
-from .data import Scene, TrajectoryWindow, WindowConfig, extract_windows, load_dataset_root, resample
+from .data import Scene, TrajectoryWindow, WindowConfig, extract_windows, resample
 from .errors import DataError
-from .features import PolarGridConfig, SemanticConfig, build_features, compute_offsets, feature_dim
+from .features import (FeatureStats, PolarGridConfig, SemanticConfig, build_features,
+                       compute_offsets, feature_dim)
 from .maps import SceneMap
+from .model import ModelParams, predict_autoregressive
 from .serialize import load_bundle, save_bundle
 
 CACHE_VERSION = 1
@@ -133,10 +135,14 @@ def build_feature_set(
     return FeatureSet(keys, features, targets, last, obs, fut, context)
 
 
-def load_and_build(root, adapter: str, wcfg: WindowConfig, pg: PolarGridConfig,
-                   sc: SemanticConfig, context: bool = True) -> tuple[FeatureSet, list[Scene]]:
-    scenes = [resample_scene(s, wcfg.rate_hz) for s in load_dataset_root(root, adapter)]
-    return build_feature_set(scenes, wcfg, pg, sc, context, resampled=True), scenes
+def decode_predictor(params: ModelParams, stats: FeatureStats, fset: FeatureSet, context: bool):
+    """Per-case predictor for ``evaluation.evaluate`` backed by one batched
+    decode of every window in ``fset``; context off keeps the offset columns."""
+    features = fset.features if context else fset.features[:, :, :2]
+    preds = predict_autoregressive(params, stats.apply(features), fset.last_obs_m,
+                                   fset.fut_m.shape[1])
+    rows = {key: i for i, key in enumerate(fset.keys)}
+    return lambda case: preds[rows[(case.scene_id, case.ego_id, case.start_index)]]
 
 
 # --------------------------------------------------------------- cache
@@ -168,6 +174,10 @@ def load_feature_cache(path) -> tuple[FeatureSet, dict]:
     arrays, meta = load_bundle(path)
     if meta.get("kind") != "feature_cache":
         raise DataError(f"{path}: not a feature cache")
+    missing = ([n for n in ("features", "target_offsets", "last_obs_m", "obs_m", "fut_m")
+                if n not in arrays] + [n for n in ("keys", "context") if n not in meta])
+    if missing:
+        raise DataError(f"{path}: feature cache lacks {', '.join(missing)}")
     fset = FeatureSet(
         keys=[(k[0], k[1], int(k[2])) for k in meta["keys"]],
         features=arrays["features"],

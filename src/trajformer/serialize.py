@@ -10,6 +10,8 @@ timestamps) does not guarantee. Checkpoints and feature caches both use it.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -50,22 +52,53 @@ def save_bundle(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
             f.write(blob)
 
 
-def load_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
+def load_bundle(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and meta of a bundle; with ``names``, only those arrays are read
+    (names the bundle lacks are left out) and the bytes of the others are
+    skipped. A malformed bundle raises DataError naming the file."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != MAGIC:
             raise DataError(f"{path}: not a trajformer bundle (magic {magic!r})")
         header_len = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(header_len).decode("utf-8"))
+        if 12 + header_len > size:
+            raise DataError(f"{path}: header length {header_len} runs past the end of the file")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: header is not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported format version {header.get('format_version')}")
+        if not isinstance(header.get("meta"), dict):
+            raise DataError(f"{path}: header has no meta object")
         arrays = {}
-        for entry in header["arrays"]:
-            dt = _DTYPES[entry["dtype"]]
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * dt.itemsize)
-            if len(raw) != count * dt.itemsize:
-                raise DataError(f"{path}: truncated array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+        offset = 12 + header_len
+        for name, dt, shape in _manifest(path, header):
+            nbytes = math.prod(shape) * dt.itemsize
+            if offset + nbytes > size:
+                raise DataError(f"{path}: truncated array {name!r}")
+            if names is None or name in names:
+                f.seek(offset)
+                arrays[name] = np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape).copy()
+            offset += nbytes
     return arrays, header["meta"]
+
+
+def _manifest(path, header: dict) -> list[tuple[str, np.dtype, tuple]]:
+    """(name, dtype, shape) of each array, in file order."""
+    try:
+        entries = [(e["name"], e["dtype"], tuple(int(n) for n in e["shape"]))
+                   for e in header["arrays"]]
+    except (KeyError, TypeError, ValueError):
+        raise DataError(f"{path}: malformed array manifest in header") from None
+    out = []
+    for name, dtype, shape in entries:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise DataError(f"{path}: array {name!r} has unknown dtype {dtype!r}")
+        if min(shape, default=0) < 0:
+            raise DataError(f"{path}: array {name!r} has negative shape {list(shape)}")
+        out.append((name, _DTYPES[dtype], shape))
+    return out

@@ -2,10 +2,16 @@
 
 These are deliberately written from the definitions (explicit loops,
 meshgrids, textbook filter equations) rather than sharing any code with
-the package.
+the package. The one exception is the decode reference, which reuses the
+package's gradient-checked teacher-forced layers on the autodiff tape.
 """
 
 import numpy as np
+
+from trajformer import autodiff as ad
+from trajformer.errors import DivergenceError
+from trajformer.model import (decoder_forward, embed_source, embed_target, encoder_forward,
+                              project_output)
 
 AGENT_CHANNEL = {"pedestrian": 0, "vehicle": 1, "cyclist": 2}
 N_LABELS = 6
@@ -82,3 +88,22 @@ def textbook_kalman(observed, kappa, dt, q_std, r_std):
         x = F @ x
         out[i] = x[:2]
     return out
+
+
+def reference_autoregressive(params, features_std, last_observed_pos, kappa):
+    """One window, no caching: re-run the whole decoder over the growing prefix
+    at every step and keep its last row."""
+    if kappa < 1:
+        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    memory = encoder_forward(embed_source(features_std, params), params)
+    offsets = []
+    for step in range(kappa):
+        dec_in = params["start_token"]
+        if offsets:
+            dec_in = ad.concat([dec_in, ad.Tensor(np.stack(offsets))], axis=0)
+        decoded = decoder_forward(embed_target(dec_in, params), memory, params)
+        nxt = project_output(decoded, params).data[-1]
+        if not np.all(np.isfinite(nxt)):
+            raise DivergenceError(f"non-finite offset at decode step {step}")
+        offsets.append(nxt.copy())
+    return np.asarray(last_observed_pos, dtype=np.float64) + np.cumsum(offsets, axis=0)

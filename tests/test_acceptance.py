@@ -19,7 +19,7 @@ from trajformer.features import (FeatureStats, PolarGridConfig, SemanticConfig, 
 from trajformer.maps import SceneMap
 from trajformer.model import (ModelConfig, ModelParams, positional_encoding,
                               predict_autoregressive, teacher_forced_offsets)
-from trajformer.pipeline import build_feature_set
+from trajformer.pipeline import build_feature_set, decode_predictor
 from trajformer.synth import generate_scenes
 from trajformer.training import TrainConfig, train, verify_gradients
 
@@ -45,10 +45,8 @@ def train_model(fset, context, seed, epochs, d_model=32, n_heads=2, n_layers=2, 
 
 def rollout_ade(params, stats, fset, context, upto, kappa):
     feats = fset.features if context else fset.features[:, :, :2]
-    values = []
-    for i in range(len(fset)):
-        pred = predict_autoregressive(params, stats.apply(feats[i]), fset.last_obs_m[i], kappa)
-        values.append(ade(pred, fset.fut_m[i], upto))
+    preds = predict_autoregressive(params, stats.apply(feats), fset.last_obs_m, kappa)
+    values = [ade(preds[i], fset.fut_m[i], upto) for i in range(len(fset))]
     return float(np.mean(values)), values
 
 
@@ -136,11 +134,8 @@ def test_overfit_convergence():
     cfg = TrainConfig(epochs=1, learning_rate=1e-3, batch_size=8, seed=42, val_fraction=0.0)
 
     def training_ade():
-        values = []
-        for i in range(8):
-            pred = predict_autoregressive(params, std[i], fset.last_obs_m[i], wcfg.kappa)
-            values.append(ade(pred, fset.fut_m[i], wcfg.kappa))
-        return float(np.mean(values))
+        preds = predict_autoregressive(params, np.stack(std), fset.last_obs_m[:8], wcfg.kappa)
+        return float(np.mean([ade(preds[i], fset.fut_m[i], wcfg.kappa) for i in range(8)]))
 
     state = None
     steps = 0
@@ -294,10 +289,8 @@ def test_report_table_shape_capability(tmp_path):
         ctx_params, ctx_stats, _, _ = train_model(sets[train_name], True, 0, epochs=3)
         van_params, van_stats, _, _ = train_model(sets[train_name], False, 0, epochs=3)
         predictors = {
-            "context_tf": lambda c, p=ctx_params, s=ctx_stats: predict_autoregressive(
-                p, s.apply(c.features), c.last_obs_m, len(c.fut_m)),
-            "vanilla_tf": lambda c, p=van_params, s=van_stats: predict_autoregressive(
-                p, s.apply(c.features[:, :2]), c.last_obs_m, len(c.fut_m)),
+            "context_tf": decode_predictor(ctx_params, ctx_stats, sets[test_name], True),
+            "vanilla_tf": decode_predictor(van_params, van_stats, sets[test_name], False),
             "cv_kalman": lambda c: cv_kalman_predict(c.obs_m, len(c.fut_m), 0.1),
         }
         table = evaluate(predictors, sets[test_name].cases(), horizons, wcfg.rate_hz,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,15 @@ def test_unknown_agent_type_names_row(tmp_path):
         load_tracks(path)
     assert "row 3" in str(exc.value)
     assert "unicycle" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_coordinate_names_file_and_row(tmp_path, value):
+    path = tmp_path / "tracks.csv"
+    write_canonical(path, [["s0", "a", "pedestrian", 0.0, 0, 0, 0, 0],
+                           ["s0", "a", "pedestrian", 0.1, value, 0, 0, 0]])
+    with pytest.raises(DataError, match=re.escape(f"{path} row 3: non-finite x_m")):
+        load_tracks(path)
 
 
 def test_non_monotone_timestamps_error(tmp_path):
@@ -340,6 +351,13 @@ def test_load_dataset_root(tmp_path):
     make_scene_dir(tmp_path, "s1")
     scenes = load_dataset_root(tmp_path)
     assert [s.scene_map.scene_id for s in scenes] == ["s0", "s1"]
+
+
+@pytest.mark.parametrize("mpp", ["abc", "nan", "0", "-0.1"])
+def test_bad_meters_per_pixel_names_file_and_row(tmp_path, mpp):
+    scene_dir = make_scene_dir(tmp_path, mpp=mpp)
+    with pytest.raises(DataError, match=r"scene\.meta row 2: .*meters_per_pixel"):
+        load_scene_dir(scene_dir)
 
 
 def test_pixel_meter_consistency_enforced(tmp_path):

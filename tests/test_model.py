@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from oracle_helpers import reference_autoregressive
 
 from trajformer import autodiff as ad
+from trajformer import model
 from trajformer.autodiff import Tensor, backward
-from trajformer.errors import DivergenceError
+from trajformer.errors import DataError, DivergenceError
 from trajformer.model import (Checkpoint, ModelConfig, ModelParams, causal_mask, decoder_forward,
                               embed_source, embed_target, encoder_forward, load_checkpoint,
                               multi_head_attention, positional_encoding, predict_autoregressive,
                               project_output, save_checkpoint, teacher_forced_offsets)
 from trajformer.features import FeatureStats
+from trajformer.serialize import load_bundle, save_bundle
 
 TINY = ModelConfig(feature_dim=6, d_model=8, n_heads=2, n_layers=2, d_ff=16)
 
@@ -262,6 +265,80 @@ def test_teacher_forced_matches_autoregressive_on_own_prefix():
     assert np.max(np.abs(tf_offsets - ar_offsets)) < 1e-9
 
 
+# ------------------------------------------------ batched cached decode
+
+def random_params(n_heads, n_layers, seed):
+    """Every weight perturbed (biases, gains and start token too)."""
+    rng = np.random.default_rng(seed)
+    params = ModelParams(ModelConfig(feature_dim=5, d_model=8, n_heads=n_heads,
+                                     n_layers=n_layers, d_ff=12), seed=seed)
+    for tensor in params.tensors.values():
+        tensor.data += rng.normal(scale=0.3, size=tensor.data.shape)
+    return params
+
+
+def rel_diff(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("kappa", [1, 12])
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_decode_matches_reference(n_heads, n_layers, kappa, batch):
+    params = random_params(n_heads, n_layers, seed=30 + 2 * n_heads + n_layers)
+    rng = np.random.default_rng(kappa + batch)
+    features = rng.normal(size=(batch, 7, 5))
+    anchors = rng.normal(size=(batch, 2))
+    batched = predict_autoregressive(params, features, anchors, kappa)
+    assert batched.shape == (batch, kappa, 2)
+    reference = np.stack([reference_autoregressive(params, features[i], anchors[i], kappa)
+                          for i in range(batch)])
+    single = np.stack([predict_autoregressive(params, features[i], anchors[i], kappa)
+                       for i in range(batch)])
+    assert rel_diff(batched, reference) <= 1e-12
+    assert rel_diff(batched, single) <= 1e-12
+
+
+def test_decode_across_chunk_boundary(monkeypatch):
+    params = random_params(2, 2, seed=40)
+    rng = np.random.default_rng(41)
+    features, anchors = rng.normal(size=(5, 6, 5)), rng.normal(size=(5, 2))
+    whole = predict_autoregressive(params, features, anchors, 9)
+    monkeypatch.setattr(model, "DECODE_BUDGET_BYTES", 1)
+    assert model.decode_chunk_size(params.config, 6, 9) == 1
+    assert rel_diff(predict_autoregressive(params, features, anchors, 9), whole) <= 1e-12
+    per_window = 8 * 8 * (2 * 2 * (6 + 9) + 6)
+    monkeypatch.setattr(model, "DECODE_BUDGET_BYTES", 2 * per_window)
+    assert model.decode_chunk_size(params.config, 6, 9) == 2
+    assert rel_diff(predict_autoregressive(params, features, anchors, 9), whole) <= 1e-12
+
+
+def test_decode_divergence_names_step_and_window(monkeypatch):
+    params = random_params(2, 1, seed=42)
+    rng = np.random.default_rng(43)
+    features, anchors = rng.normal(size=(5, 4, 5)), np.zeros((5, 2))
+    features[3, 2, 1] = np.nan
+    monkeypatch.setattr(model, "DECODE_BUDGET_BYTES", 1)  # window 3 decodes in its own chunk
+    with pytest.raises(DivergenceError, match=r"decode step 0 in window 3\b"):
+        predict_autoregressive(params, features, anchors, 4)
+    # finite until the first emitted offset is fed back through an overflowing embedding
+    features[3, 2, 1] = 0.0
+    params.tensors["start_token"] = Tensor(np.zeros((1, 2)))
+    params.tensors["tgt_embed.w"].data[0] = 1e308
+    params.tensors["out_proj.b"].data[0] = 10.0
+    with pytest.raises(DivergenceError, match=r"decode step 1 in window 0\b"):
+        predict_autoregressive(params, features, anchors, 4)
+
+
+def test_decode_feature_dim_mismatch():
+    params = tiny_params(seed=44)
+    with pytest.raises(ValueError):
+        predict_autoregressive(params, np.zeros((4, TINY.feature_dim + 1)), np.zeros(2), 3)
+    with pytest.raises(ValueError):
+        predict_autoregressive(params, np.zeros((2, 4, TINY.feature_dim - 1)), np.zeros((2, 2)), 3)
+
+
 # ------------------------------------------------------ whole model
 
 def test_whole_model_gradcheck_tiny():
@@ -325,3 +402,29 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     save_checkpoint(second, ckpt.params, ckpt.stats,
                     {"train_dataset": "synthA", "epochs_done": 3})
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_without_adam_skips_moments(tmp_path):
+    params = tiny_params(seed=26)
+    moments = ({n: a + 1.0 for n, a in params.arrays().items()},
+               {n: a + 2.0 for n, a in params.arrays().items()}, 7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, None, {"epochs_done": 1}, moments)
+    full = load_checkpoint(path)
+    assert full.adam_moments[2] == 7
+    assert np.array_equal(full.adam_moments[1]["out_proj.w"], moments[1]["out_proj.w"])
+    lean = load_checkpoint(path, with_adam=False)
+    assert lean.adam_moments is None and lean.stats is None
+    for name in params.names():
+        assert np.array_equal(lean.params[name].data, params[name].data)
+
+
+def test_checkpoint_missing_array_names_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tiny_params(seed=27), None, {})
+    arrays, meta = load_bundle(path)
+    del arrays["param.out_proj.b"]
+    save_bundle(path, arrays, meta)
+    with pytest.raises(DataError, match="lacks array 'param.out_proj.b'") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from trajformer.errors import DataError
 from trajformer.features import PolarGridConfig, SemanticConfig
 from trajformer.pipeline import (build_feature_set, load_feature_cache, resample_scene,
                                  save_feature_cache, worker_count)
+from trajformer.serialize import load_bundle, save_bundle
 from trajformer.synth import synth_dataset
 
 WCFG = WindowConfig(delta=6, kappa=8, stride=10)
@@ -55,6 +58,60 @@ def test_cache_rejects_other_bundles(tmp_path):
     (tmp_path / "junk.bin").write_bytes(b"not a bundle")
     with pytest.raises(DataError):
         load_feature_cache(tmp_path / "junk.bin")
+
+
+def raw_bundle(path, header: bytes, payload: bytes = b""):
+    path.write_bytes(b"TJF1" + len(header).to_bytes(8, "little") + header + payload)
+    return path
+
+
+def manifest(*arrays):
+    return json.dumps({"format_version": 1, "meta": {}, "arrays": list(arrays)}).encode()
+
+
+@pytest.mark.parametrize("name, header, payload, message", [
+    ("latin1.bin", b'{"meta": "\xe9"}', b"", "not UTF-8 JSON"),
+    ("notjson.bin", b"{not json", b"", "not UTF-8 JSON"),
+    ("unknown_dtype.bin", manifest({"name": "x", "dtype": "<f4", "shape": [2]}), bytes(8),
+     "unknown dtype"),
+    ("truncated.bin", manifest({"name": "x", "dtype": "<f8", "shape": [2]}), bytes(8),
+     "truncated array"),
+])
+def test_malformed_bundle_names_file(tmp_path, name, header, payload, message):
+    path = raw_bundle(tmp_path / name, header, payload)
+    with pytest.raises(DataError, match=message) as exc:
+        load_bundle(path)
+    assert str(path) in str(exc.value)
+
+
+def test_header_length_past_end_names_file(tmp_path):
+    header = manifest()
+    path = tmp_path / "long.bin"
+    path.write_bytes(b"TJF1" + (len(header) + 1).to_bytes(8, "little") + header)
+    with pytest.raises(DataError, match="past the end") as exc:
+        load_bundle(path)
+    assert str(path) in str(exc.value)
+
+
+def test_load_bundle_reads_only_named_arrays(tmp_path):
+    arrays = {"a": np.arange(3.0), "b": np.arange(4), "c": np.ones((2, 2))}
+    save_bundle(tmp_path / "x.bin", arrays, {"k": 1})
+    subset, meta = load_bundle(tmp_path / "x.bin", names={"c", "missing"})
+    assert list(subset) == ["c"] and np.array_equal(subset["c"], arrays["c"])
+    assert meta == {"k": 1}
+    assert load_bundle(tmp_path / "x.bin", names=())[0] == {}
+
+
+def test_cache_missing_array_names_file(tmp_path, scenes):
+    fset = build_feature_set(scenes, WCFG, PG, SC, resampled=True)
+    path = tmp_path / "cache.bin"
+    save_feature_cache(path, fset, WCFG, PG, SC)
+    arrays, meta = load_bundle(path)
+    del arrays["obs_m"]
+    save_bundle(path, arrays, meta)
+    with pytest.raises(DataError, match="lacks obs_m") as exc:
+        load_feature_cache(path)
+    assert str(path) in str(exc.value)
 
 
 def test_worker_env_parsing(monkeypatch):
