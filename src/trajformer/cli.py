@@ -3,14 +3,14 @@
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 divergence. Every command validates its configuration before touching the
 filesystem; all outputs land under the configured output directory, which
-is guarded by a lock file against concurrent runs. TRAJFORMER_THREADS caps
-worker parallelism for feature building.
+is guarded by a lock file against concurrent runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import os
 import sys
 from dataclasses import asdict
@@ -38,23 +38,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _OutputLock:
-    """One run per output directory; stale locks must be removed by hand."""
+    """One run per output directory: an exclusive ``flock`` on ``.lock``.
+
+    The kernel drops the lock when its holder exits, however it dies, so a
+    ``.lock`` file left behind blocks nothing. The file itself stays, since
+    unlinking it could let two runs lock different files of the same name.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = Path(out_dir) / ".lock"
+        self.fd: int | None = None
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise ConfigError(f"output directory is locked by {self.path}") from None
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        self.fd = fd
         return self
 
     def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
+        os.close(self.fd)  # closing the last descriptor releases the flock
+        self.fd = None
         return False
 
 

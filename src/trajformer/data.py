@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +93,6 @@ class TrajectoryWindow:
     obs_m: np.ndarray     # (delta, 2)
     obs_px: np.ndarray    # (delta, 2)
     fut_m: np.ndarray     # (kappa, 2)
-    neighbor_refs: list[str] = field(default_factory=list)
 
 
 # ------------------------------------------------------------- loading
@@ -288,17 +287,11 @@ def resample(track: AgentTrack, rate_hz: float, align_global: bool = False) -> A
 
 # ------------------------------------------------------------- windows
 
-def extract_windows(
-    track: AgentTrack,
-    cfg: WindowConfig,
-    scene_id: str = "",
-    scene_tracks: list[AgentTrack] | None = None,
-) -> list[TrajectoryWindow]:
+def extract_windows(track: AgentTrack, cfg: WindowConfig,
+                    scene_id: str = "") -> list[TrajectoryWindow]:
     """All stride-aligned (delta, kappa) slices of a pedestrian track.
 
     Non-pedestrian egos and too-short tracks yield an empty list.
-    ``scene_tracks`` supplies the co-present agents recorded as
-    neighbor_refs (any agent with a sample inside the observed interval).
     """
     if track.agent_type != "pedestrian":
         return []
@@ -314,25 +307,15 @@ def extract_windows(
     for start in range(0, len(track) - total + 1, cfg.stride):
         obs = slice(start, start + cfg.delta)
         fut = slice(start + cfg.delta, start + total)
-        t_obs = track.t[obs]
-        refs = []
-        if scene_tracks:
-            lo, hi = t_obs[0] - 1e-9, t_obs[-1] + 1e-9
-            for other in scene_tracks:
-                if other.agent_id == track.agent_id:
-                    continue
-                if other.t[-1] >= lo and other.t[0] <= hi:
-                    refs.append(other.agent_id)
         windows.append(
             TrajectoryWindow(
                 ego_id=track.agent_id,
                 scene_id=scene_id,
                 start_index=start,
-                t_obs=t_obs.copy(),
+                t_obs=track.t[obs].copy(),
                 obs_m=track.xy_m[obs].copy(),
                 obs_px=track.xy_px[obs].copy(),
                 fut_m=track.xy_m[fut].copy(),
-                neighbor_refs=refs,
             )
         )
     return windows

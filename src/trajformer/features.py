@@ -134,13 +134,17 @@ def semantic_histogram(pos_px: np.ndarray, scene: SceneMap, cfg: SemanticConfig)
 def build_features(
     window: TrajectoryWindow,
     scene: SceneMap | None,
-    tracks_by_id: dict[str, AgentTrack],
+    scene_tracks: list[AgentTrack],
     pg: PolarGridConfig,
     sc: SemanticConfig,
     context: bool = True,
 ) -> np.ndarray:
     """Fuse the three channels into a (delta-1, F) feature matrix.
 
+    The neighbors at an observed step t are the agents of ``scene_tracks``
+    other than the ego that have a sample within 1e-6 s of t. A step's
+    features depend only on (ego, t), so the pipeline calls this once over
+    a track's whole observed span and slices each window's block from it.
     ``context=False`` is the ablation: offsets only, F = 2.
     """
     offsets = compute_offsets(window.obs_m)
@@ -149,23 +153,27 @@ def build_features(
     if scene is None:
         raise ValueError(f"window {window.ego_id}@{window.start_index}: scene map required")
 
-    n_steps = len(offsets)
-    out = np.zeros((n_steps, feature_dim(pg, sc)))
+    times = window.t_obs[1:]
+    present = []  # (track, sample row per step or -1)
+    for track in scene_tracks:
+        if track.agent_id == window.ego_id or len(track) == 0:
+            continue
+        j = np.searchsorted(track.t, times)
+        rows = np.full(len(times), -1)
+        for cand in (j, j - 1):  # j - 1 last, so it wins when both match
+            inside = (cand >= 0) & (cand < len(track))
+            near = np.abs(track.t[np.clip(cand, 0, len(track) - 1)] - times) <= 1e-6
+            rows = np.where(inside & near, cand, rows)
+        if np.any(rows >= 0):
+            present.append((track, rows))
+
+    out = np.zeros((len(offsets), feature_dim(pg, sc)))
     out[:, :2] = offsets
     grid_len = pg.n_cells
-    for i in range(n_steps):
-        t_i = window.t_obs[i + 1]
+    for i in range(len(offsets)):
         ego_px = window.obs_px[i + 1]
-        neighbors = []
-        for ref in window.neighbor_refs:
-            track = tracks_by_id.get(ref)
-            if track is None:
-                continue
-            j = int(np.searchsorted(track.t, t_i))
-            for cand in (j - 1, j):
-                if 0 <= cand < len(track) and abs(track.t[cand] - t_i) <= 1e-6:
-                    neighbors.append((track.xy_px[cand], track.agent_type))
-                    break
+        neighbors = [(track.xy_px[rows[i]], track.agent_type)
+                     for track, rows in present if rows[i] >= 0]
         grid = polar_occupancy(ego_px, neighbors, pg)
         out[i, 2 : 2 + grid_len] = grid.reshape(-1)
         out[i, 2 + grid_len :] = semantic_histogram(ego_px, scene, sc)

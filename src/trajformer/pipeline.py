@@ -1,23 +1,23 @@
 """Glue from raw dataset roots to model-ready windows and cached features.
 
 All tracks in a scene are resampled onto the shared global grid (multiples
-of 1/rate) so windows and their neighbors line up in time. Feature blocks
-are cached in the binary bundle format keyed by (scene_id, ego_id, window
-start); reruns over unchanged inputs produce byte-identical caches.
+of 1/rate) so windows and their neighbors line up in time. Features are
+built once per (agent, timestep) over each track's observed span, and each
+window's block is a slice of that array. Feature blocks are cached in the
+binary bundle format keyed by (scene_id, ego_id, window start); reruns
+over unchanged inputs produce byte-identical caches.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
 import numpy as np
 
-from .data import Scene, TrajectoryWindow, WindowConfig, extract_windows, resample
+from .data import AgentTrack, Scene, TrajectoryWindow, WindowConfig, extract_windows, resample
 from .errors import DataError
 from .features import (FeatureStats, PolarGridConfig, SemanticConfig, build_features,
                        compute_offsets, feature_dim)
-from .maps import SceneMap
 from .model import ModelParams, predict_autoregressive
 from .serialize import load_bundle, save_bundle
 
@@ -58,15 +58,6 @@ class FeatureSet:
         ]
 
 
-def worker_count() -> int:
-    """Worker cap from TRAJFORMER_THREADS (default 1)."""
-    raw = os.environ.get("TRAJFORMER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DataError(f"TRAJFORMER_THREADS must be an integer, got {raw!r}") from None
-
-
 def resample_scene(scene: Scene, rate_hz: float) -> Scene:
     kept = []
     for track in scene.tracks:
@@ -76,11 +67,11 @@ def resample_scene(scene: Scene, rate_hz: float) -> Scene:
     return Scene(scene_map=scene.scene_map, tracks=kept, meta=scene.meta)
 
 
-def scene_windows(scene: Scene, cfg: WindowConfig) -> list[TrajectoryWindow]:
-    windows = []
-    for track in scene.tracks:
-        windows.extend(extract_windows(track, cfg, scene.scene_map.scene_id, scene.tracks))
-    return windows
+def observed_span(track: AgentTrack, windows: list[TrajectoryWindow]) -> TrajectoryWindow:
+    """One window over every step that ``windows`` (in start order) observe."""
+    end = windows[-1].start_index + len(windows[-1].t_obs)
+    return TrajectoryWindow(track.agent_id, windows[0].scene_id, 0, track.t[:end],
+                            track.xy_m[:end], track.xy_px[:end], track.xy_m[end:])
 
 
 def target_offsets_for(window: TrajectoryWindow) -> np.ndarray:
@@ -100,38 +91,28 @@ def build_feature_set(
     """Windows plus fused features for every pedestrian in every scene."""
     if not resampled:
         scenes = [resample_scene(s, wcfg.rate_hz) for s in scenes]
-    entries: list[tuple[TrajectoryWindow, SceneMap, dict]] = []
-    for scene in scenes:
-        by_id = {t.agent_id: t for t in scene.tracks}
-        for window in scene_windows(scene, wcfg):
-            entries.append((window, scene.scene_map, by_id))
-
-    def one(entry):
-        window, scene_map, by_id = entry
-        return build_features(window, scene_map, by_id, pg, sc, context)
-
-    workers = worker_count()
-    if workers > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(one, entries))
-    else:
-        blocks = [one(e) for e in entries]
-
-    n = len(entries)
-    f_dim = feature_dim(pg, sc, context)
-    features = np.zeros((n, wcfg.delta - 1, f_dim))
+    per_track = [(scene, track, extract_windows(track, wcfg, scene.scene_map.scene_id))
+                 for scene in scenes for track in scene.tracks]
+    n = sum(len(windows) for _, _, windows in per_track)
+    features = np.zeros((n, wcfg.delta - 1, feature_dim(pg, sc, context)))
     targets = np.zeros((n, wcfg.kappa, 2))
     last = np.zeros((n, 2))
     obs = np.zeros((n, wcfg.delta, 2))
     fut = np.zeros((n, wcfg.kappa, 2))
     keys = []
-    for i, ((window, _, _), block) in enumerate(zip(entries, blocks)):
-        features[i] = block
-        targets[i] = target_offsets_for(window)
-        last[i] = window.obs_m[-1]
-        obs[i] = window.obs_m
-        fut[i] = window.fut_m
-        keys.append((window.scene_id, window.ego_id, window.start_index))
+    for scene, track, windows in per_track:
+        if not windows:
+            continue
+        block = build_features(observed_span(track, windows), scene.scene_map, scene.tracks,
+                               pg, sc, context)
+        for window in windows:
+            i = len(keys)
+            features[i] = block[window.start_index : window.start_index + wcfg.delta - 1]
+            targets[i] = target_offsets_for(window)
+            last[i] = window.obs_m[-1]
+            obs[i] = window.obs_m
+            fut[i] = window.fut_m
+            keys.append((window.scene_id, window.ego_id, window.start_index))
     return FeatureSet(keys, features, targets, last, obs, fut, context)
 
 

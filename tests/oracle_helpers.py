@@ -2,16 +2,22 @@
 
 These are deliberately written from the definitions (explicit loops,
 meshgrids, textbook filter equations) rather than sharing any code with
-the package. The one exception is the decode reference, which reuses the
-package's gradient-checked teacher-forced layers on the autodiff tape.
+the package. Two references reuse package parts that other oracles check:
+the decode reference runs the gradient-checked teacher-forced layers on the
+autodiff tape, and the window-feature reference calls the polar grid and
+semantic histogram kernels that ``brute_force_grid`` and
+``brute_force_semantics`` pin down.
 """
 
 import numpy as np
 
 from trajformer import autodiff as ad
+from trajformer.data import extract_windows
 from trajformer.errors import DivergenceError
+from trajformer.features import compute_offsets, feature_dim, polar_occupancy, semantic_histogram
 from trajformer.model import (decoder_forward, embed_source, embed_target, encoder_forward,
                               project_output)
+from trajformer.pipeline import FeatureSet, target_offsets_for
 
 AGENT_CHANNEL = {"pedestrian": 0, "vehicle": 1, "cyclist": 2}
 N_LABELS = 6
@@ -107,3 +113,49 @@ def reference_autoregressive(params, features_std, last_observed_pos, kappa):
             raise DivergenceError(f"non-finite offset at decode step {step}")
         offsets.append(nxt.copy())
     return np.asarray(last_observed_pos, dtype=np.float64) + np.cumsum(offsets, axis=0)
+
+
+def reference_window_features(scenes, wcfg, pg, sc, context=True):
+    """The per-window feature loop: every window lists the agents whose track
+    overlaps its observed interval, then rebuilds each of its steps from
+    scratch, so a step shared by several windows is computed once per window.
+    Takes resampled scenes; returns the FeatureSet the pipeline must match."""
+    keys, blocks, targets, last, obs, fut = [], [], [], [], [], []
+    for scene in scenes:
+        by_id = {t.agent_id: t for t in scene.tracks}
+        for track in scene.tracks:
+            for window in extract_windows(track, wcfg, scene.scene_map.scene_id):
+                lo, hi = window.t_obs[0] - 1e-9, window.t_obs[-1] + 1e-9
+                refs = [o.agent_id for o in scene.tracks
+                        if o.agent_id != track.agent_id and o.t[-1] >= lo and o.t[0] <= hi]
+                blocks.append(_window_features(window, refs, by_id, scene.scene_map, pg, sc,
+                                               context))
+                keys.append((window.scene_id, window.ego_id, window.start_index))
+                targets.append(target_offsets_for(window))
+                last.append(window.obs_m[-1])
+                obs.append(window.obs_m)
+                fut.append(window.fut_m)
+    return FeatureSet(keys, np.array(blocks), np.array(targets), np.array(last), np.array(obs),
+                      np.array(fut), context)
+
+
+def _window_features(window, refs, by_id, scene_map, pg, sc, context):
+    offsets = compute_offsets(window.obs_m)
+    if not context:
+        return offsets
+    out = np.zeros((len(offsets), feature_dim(pg, sc)))
+    out[:, :2] = offsets
+    for i in range(len(offsets)):
+        t_i = window.t_obs[i + 1]
+        ego_px = window.obs_px[i + 1]
+        neighbors = []
+        for ref in refs:
+            track = by_id[ref]
+            j = int(np.searchsorted(track.t, t_i))
+            for cand in (j - 1, j):
+                if 0 <= cand < len(track) and abs(track.t[cand] - t_i) <= 1e-6:
+                    neighbors.append((track.xy_px[cand], track.agent_type))
+                    break
+        out[i, 2 : 2 + pg.n_cells] = polar_occupancy(ego_px, neighbors, pg).reshape(-1)
+        out[i, 2 + pg.n_cells :] = semantic_histogram(ego_px, scene_map, sc)
+    return out

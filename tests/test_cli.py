@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -97,11 +99,49 @@ def test_train_requires_cache(tmp_path, dataset):
     assert run("train", *desk_args(dataset, tmp_path / "out")) == 2
 
 
-def test_lock_file_blocks_concurrent_use(tmp_path, dataset):
+LOCK_HOLDER = """
+import fcntl, os, sys
+fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+
+def hold_lock(path):
+    """A live process holding the output lock until its stdin closes."""
+    proc = subprocess.Popen([sys.executable, "-c", LOCK_HOLDER, str(path)],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "locked\n"
+    return proc
+
+
+def test_lock_file_blocks_concurrent_use(tmp_path, dataset, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".lock").write_text("123")
-    assert run("preprocess", *desk_args(dataset, out)) == 1
+    holder = hold_lock(out / ".lock")
+    try:
+        assert run("preprocess", *desk_args(dataset, out)) == 1
+        assert "locked" in capsys.readouterr().err
+        assert not (out / "cache").exists()
+    finally:
+        holder.stdin.close()
+        assert holder.wait(timeout=30) == 0
+        holder.stdout.close()
+    assert run("preprocess", *desk_args(dataset, out)) == 0
+
+
+def test_lock_left_by_dead_process_does_not_block(tmp_path, dataset):
+    out = tmp_path / "out"
+    out.mkdir()
+    holder = hold_lock(out / ".lock")
+    holder.kill()
+    holder.wait(timeout=30)
+    holder.stdin.close()
+    holder.stdout.close()
+    assert (out / ".lock").exists()
+    assert run("preprocess", *desk_args(dataset, out)) == 0
+    assert (out / "cache" / "train_features.bin").exists()
 
 
 def train_pipeline(tmp_path, dataset, extra=()):

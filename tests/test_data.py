@@ -245,11 +245,15 @@ def test_window_never_mixes_agents():
     cfg = WindowConfig(delta=10, kappa=10, stride=7)
     ego = make_track("ego", n=60)
     other = make_track("other", n=60, v=(0.0, 1.0))
-    for w in extract_windows(ego, cfg, "s0", [ego, other]):
+    windows = extract_windows(ego, cfg, "s0")
+    assert [w.start_index for w in windows] == [0, 7, 14, 21, 28, 35]
+    for w in windows:
         full = np.concatenate([w.obs_m, w.fut_m])
         start = w.start_index
         assert np.array_equal(full, ego.xy_m[start : start + 20])
-        assert w.neighbor_refs == ["other"]
+        assert np.array_equal(w.obs_px, ego.xy_px[start : start + 10])
+        assert not np.array_equal(full, other.xy_m[start : start + 20])
+        assert w.ego_id == "ego" and w.scene_id == "s0"
 
 
 def test_window_slices_are_contiguous():

@@ -180,14 +180,14 @@ def make_window(delta=6, kappa=4, rate=10.0, v=(1.0, 0.5), mpp=0.1):
     return TrajectoryWindow(
         ego_id="ego", scene_id="s", start_index=0,
         t_obs=t[:delta], obs_m=xy[:delta], obs_px=xy[:delta] / mpp,
-        fut_m=xy[delta:], neighbor_refs=[],
+        fut_m=xy[delta:],
     )
 
 
 def test_build_features_no_agents_uniform_road():
     window = make_window()
     pg, sc = PolarGridConfig(), SemanticConfig(k=4, d_max_px=3)
-    out = build_features(window, uniform_scene(1, (200, 200)), {}, pg, sc)
+    out = build_features(window, uniform_scene(1, (200, 200)), [], pg, sc)
     assert out.shape == (5, feature_dim(pg, sc))
     assert np.allclose(out[:, :2], compute_offsets(window.obs_m))
     assert np.all(out[:, 2 : 2 + pg.n_cells] == 0)
@@ -204,26 +204,27 @@ def test_feature_dim_formula():
 
 def test_context_off_ablation_is_offsets_only():
     window = make_window()
-    out = build_features(window, None, {}, PolarGridConfig(), SemanticConfig(), context=False)
+    out = build_features(window, None, [], PolarGridConfig(), SemanticConfig(), context=False)
     assert out.shape == (5, 2)
     assert np.allclose(out, compute_offsets(window.obs_m))
 
 
 def test_build_features_sees_neighbor_on_shared_grid():
     window = make_window(delta=6)
-    window.neighbor_refs = ["veh"]
     t = np.arange(10) / 10.0
     pos = np.tile(window.obs_px[3] * 0.1 + np.array([0.5, 0.0]), (10, 1))
     veh = AgentTrack("veh", "vehicle", t, pos, pos / 0.1)
+    # the ego's own track in the scene list is not its neighbor
+    ego = AgentTrack("ego", "pedestrian", window.t_obs, window.obs_m, window.obs_px)
     pg, sc = PolarGridConfig(), SemanticConfig(k=4, d_max_px=3)
-    out = build_features(window, uniform_scene(1, (200, 200)), {"veh": veh}, pg, sc)
+    out = build_features(window, uniform_scene(1, (200, 200)), [ego, veh], pg, sc)
     grid_part = out[:, 2 : 2 + pg.n_cells]
     assert grid_part.sum() == 5  # the vehicle is in range at every observed step
 
 
 def test_missing_scene_errors():
     with pytest.raises(ValueError, match="scene map required"):
-        build_features(make_window(), None, {}, PolarGridConfig(), SemanticConfig())
+        build_features(make_window(), None, [], PolarGridConfig(), SemanticConfig())
 
 
 # ------------------------------------------------------ standardization

@@ -2,14 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from oracle_helpers import reference_window_features
 
-from trajformer.data import WindowConfig, load_dataset_root
+from trajformer.data import AgentTrack, Scene, WindowConfig, load_dataset_root
 from trajformer.errors import DataError
 from trajformer.features import PolarGridConfig, SemanticConfig
+from trajformer.maps import SceneMap
 from trajformer.pipeline import (build_feature_set, load_feature_cache, resample_scene,
-                                 save_feature_cache, worker_count)
+                                 save_feature_cache)
 from trajformer.serialize import load_bundle, save_bundle
-from trajformer.synth import synth_dataset
+from trajformer.synth import SCENARIOS, generate_scenes, synth_dataset
 
 WCFG = WindowConfig(delta=6, kappa=8, stride=10)
 PG = PolarGridConfig()
@@ -114,20 +116,58 @@ def test_cache_missing_array_names_file(tmp_path, scenes):
     assert str(path) in str(exc.value)
 
 
-def test_worker_env_parsing(monkeypatch):
-    monkeypatch.delenv("TRAJFORMER_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("TRAJFORMER_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("TRAJFORMER_THREADS", "zero")
-    with pytest.raises(DataError):
-        worker_count()
+# ------------------------------------- features once per (agent, timestep)
+
+DESK_WINDOWS = WindowConfig(delta=10, kappa=20, stride=5)
+PAPER_WINDOWS = WindowConfig(delta=30, kappa=50, stride=1)
 
 
-def test_parallel_features_match_serial(monkeypatch, scenes):
-    monkeypatch.delenv("TRAJFORMER_THREADS", raising=False)
-    serial = build_feature_set(scenes, WCFG, PG, SC, resampled=True)
-    monkeypatch.setenv("TRAJFORMER_THREADS", "3")
-    parallel = build_feature_set(scenes, WCFG, PG, SC, resampled=True)
-    assert serial.keys == parallel.keys
-    assert np.array_equal(serial.features, parallel.features)
+def assert_matches_reference(tmp_path, scenes, wcfg, pg, sc):
+    """Bit-equal FeatureSet and byte-equal cache versus the per-window loop;
+    returns the context feature set."""
+    for context in (False, True):
+        ours = build_feature_set(scenes, wcfg, pg, sc, context, resampled=True)
+        ref = reference_window_features(scenes, wcfg, pg, sc, context)
+        assert ours.keys == ref.keys and ours.context == ref.context
+        for name in ("features", "target_offsets", "last_obs_m", "obs_m", "fut_m"):
+            assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+        save_feature_cache(tmp_path / "ours.bin", ours, wcfg, pg, sc)
+        save_feature_cache(tmp_path / "ref.bin", ref, wcfg, pg, sc)
+        assert (tmp_path / "ours.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+    return ours
+
+
+@pytest.mark.parametrize("wcfg", [DESK_WINDOWS, PAPER_WINDOWS], ids=["desk", "paper"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_feature_set_matches_per_window_reference(tmp_path, scenario, wcfg):
+    scenes = [resample_scene(s, wcfg.rate_hz) for s in generate_scenes(scenario, 2, 3, 1)]
+    for channels in (1, 3):
+        pg = PolarGridConfig(type_channels=channels)
+        fset = assert_matches_reference(tmp_path, scenes, wcfg, pg, SC)
+        assert len(fset) > 0
+
+
+def test_partial_neighbor_and_short_ego_match_reference(tmp_path):
+    # ego windows start at 0, 5 and 10; the cyclist appears at step 12 and
+    # leaves at step 17, inside the observed steps 10-19 of the last window;
+    # the second pedestrian is too short to be an ego but is a neighbor. Their
+    # clocks sit 1e-9 s either side of the ego's, as samples resampled onto
+    # the grid from different anchors can.
+    wcfg = DESK_WINDOWS
+    t = np.arange(40) / wcfg.rate_hz
+    ego_m = np.stack([2.0 + 1.2 * t, np.full(40, 5.0)], axis=1)
+    bike_m = ego_m[12:18] + np.array([1.0, 0.5])
+    short_m = ego_m[3:28] + np.array([-1.5, -1.0])
+    tracks = [AgentTrack("ego", "pedestrian", t, ego_m, ego_m / 0.2),
+              AgentTrack("bike", "cyclist", t[12:18] - 1e-9, bike_m, bike_m / 0.2),
+              AgentTrack("short", "pedestrian", t[3:28] + 1e-9, short_m, short_m / 0.2)]
+    labels = np.random.default_rng(0).integers(0, 6, size=(60, 120)).astype(np.uint8)
+    scenes = [Scene(SceneMap("s", labels, 0.2), tracks, {})]
+    for channels in (1, 3):
+        pg = PolarGridConfig(type_channels=channels)
+        fset = assert_matches_reference(tmp_path, scenes, wcfg, pg, SC)
+        assert [k[1:] for k in fset.keys] == [("ego", 0), ("ego", 5), ("ego", 10)]
+        counts = fset.features[:, :, 2 : 2 + pg.n_cells].sum(axis=2)
+        # the last window sees the short pedestrian at all 9 steps, the bike at 6
+        assert counts[2].sum() == 9 + 6
+        assert np.array_equal(counts[2], [1, 2, 2, 2, 2, 2, 2, 1, 1])
