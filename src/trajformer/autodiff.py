@@ -1,11 +1,15 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Just enough machinery for an encoder/decoder transformer: matrix product,
-elementwise arithmetic, softmax, layer normalization, affine maps, slicing
-and concatenation. Every operation records its inputs on the output tensor,
-so the computation graph is the web of parent references; ``backward`` walks
-it once in reverse topological order and returns the gradient of a scalar
-seed with respect to every recorded node.
+elementwise arithmetic, softmax, layer normalization, affine maps, reshapes,
+concatenation, and fused feed-forward and scaled-dot-product attention
+blocks. Matrix products, affine maps and attention act on the last two axes
+and treat any leading axes as a batch, so one tape covers a whole
+minibatch. The fused blocks and layer normalization recompute their inner
+values in the backward pass instead of keeping them on the tape. Every operation
+records its inputs on the output tensor, so the computation graph is the
+web of parent references; ``backward`` walks it once in reverse topological
+order and returns the gradient of a scalar seed with respect to every leaf.
 """
 
 from __future__ import annotations
@@ -62,8 +66,12 @@ def as_tensor(x) -> Tensor:
 
 
 def _broadcast_ok(a_shape, b_shape):
-    # only row-wise bias broadcast is supported: (n, d) op (d,)
-    return len(a_shape) == 2 and len(b_shape) == 1 and a_shape[1] == b_shape[0]
+    # b broadcast over the leading axes of a: (..., n, d) op (d,) or (n, d)
+    return len(b_shape) < len(a_shape) and a_shape[len(a_shape) - len(b_shape):] == b_shape
+
+
+def _unbroadcast(g, shape):
+    return g.reshape(-1, *shape).sum(axis=0)
 
 
 def add(a, b) -> Tensor:
@@ -71,7 +79,7 @@ def add(a, b) -> Tensor:
     if a.shape == b.shape:
         vjp = lambda g: (g, g)
     elif _broadcast_ok(a.shape, b.shape):
-        vjp = lambda g: (g, g.sum(axis=0))
+        vjp = lambda g: (g, _unbroadcast(g, b.shape))
     else:
         raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
     return Tensor(a.data + b.data, (a, b), "add", vjp)
@@ -82,7 +90,7 @@ def sub(a, b) -> Tensor:
     if a.shape == b.shape:
         vjp = lambda g: (g, -g)
     elif _broadcast_ok(a.shape, b.shape):
-        vjp = lambda g: (g, -g.sum(axis=0))
+        vjp = lambda g: (g, -_unbroadcast(g, b.shape))
     else:
         raise ValueError(f"sub: incompatible shapes {a.shape} and {b.shape}")
     return Tensor(a.data - b.data, (a, b), "sub", vjp)
@@ -103,12 +111,24 @@ def scale(a, s: float) -> Tensor:
     return Tensor(a.data * s, (a,), "scale", lambda g: (g * s,))
 
 
+def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(..., n, d) @ (d, m) as one GEMM over all rows."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+
+
+def _row_gemm_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    # gradients of x @ w for a shared (d, m) right factor: the weight
+    # gradient sums over every leading index in one GEMM
+    return _rows_times(g, w.T), x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
+    """(..., n, d) @ (d, m): every row of ``a`` times the one matrix ``b``."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    vjp = lambda g: (g @ b.data.T, a.data.T @ g)
-    return Tensor(a.data @ b.data, (a, b), "matmul", vjp)
+    return Tensor(_rows_times(a.data, b.data), (a, b), "matmul",
+                  lambda g: _row_gemm_vjp(a.data, b.data, g))
 
 
 def transpose(a) -> Tensor:
@@ -141,8 +161,13 @@ def softmax(a, axis: int = -1) -> Tensor:
     return Tensor(y, (a,), "softmax", vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+def layer_norm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+
+    With ``residual``, normalizes x + residual in the same node (the
+    post-norm residual step). Only the row means and inverse deviations are
+    kept for the backward pass.
+    """
     if eps <= 0:
         raise ValueError(f"layer_norm: eps must be positive, got {eps}")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -152,13 +177,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} "
             f"do not match last axis of {x.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    inputs = (x,)
+    if residual is not None:
+        inputs = (x, as_tensor(residual))
+        if inputs[1].shape != x.shape:
+            raise ValueError(f"layer_norm: residual shape {inputs[1].shape} is not {x.shape}")
+
+    def total():
+        return x.data if residual is None else x.data + inputs[1].data
+
+    s = total()
+    mu = s.mean(axis=-1, keepdims=True)
+    xc = s - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    out = xc * inv
+    out *= gain.data
+    out += bias.data
+    del s, xc
 
     def vjp(g):
+        xhat = (total() - mu) * inv  # recomputed rather than kept on the tape
         dgain = (g * xhat).reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
         dxhat = g * gain.data
@@ -167,41 +205,112 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        return dx, dgain, dbias
+        return (dx,) * len(inputs) + (dgain, dbias)
 
-    return Tensor(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", vjp)
+    return Tensor(out, (*inputs, gain, bias), "layer_norm", vjp)
 
 
 def affine(x, w, b) -> Tensor:
-    """x @ w + b with b broadcast over rows."""
+    """x @ w + b over the rows of x (..., n, d), b broadcast over rows."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"affine: incompatible shapes {x.shape} and {w.shape}")
     if b.shape != (w.shape[1],):
         raise ValueError(f"affine: bias shape {b.shape} does not match {w.shape}")
-    vjp = lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
-    return Tensor(x.data @ w.data + b.data, (x, w, b), "affine", vjp)
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
-        raise ValueError(f"slice_cols: bad range [{start}:{stop}] for shape {a.shape}")
 
     def vjp(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
+        return (*_row_gemm_vjp(x.data, w.data, g), _unbroadcast(g, b.shape))
 
-    return Tensor(a.data[:, start:stop].copy(), (a,), "slice_cols", vjp)
+    return Tensor(_rows_times(x.data, w.data) + b.data, (x, w, b), "affine", vjp)
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 over the rows of x, as one node.
+
+    The hidden layer is recomputed in the backward pass rather than kept
+    on the tape.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (x.data.ndim < 2 or x.shape[-1] != w1.shape[0] or b1.shape != (w1.shape[1],)
+            or w2.shape[0] != w1.shape[1] or b2.shape != (w2.shape[1],)):
+        raise ValueError(f"feed_forward: incompatible shapes {x.shape}, {w1.shape}, "
+                         f"{b1.shape}, {w2.shape}, {b2.shape}")
+
+    def hidden():
+        h = _rows_times(x.data, w1.data) + b1.data
+        h *= h > 0
+        return h
+
+    def vjp(g):
+        h = hidden()
+        dh, dw2 = _row_gemm_vjp(h, w2.data, g)
+        dh *= h > 0
+        dx, dw1 = _row_gemm_vjp(x.data, w1.data, dh)
+        return dx, dw1, _unbroadcast(dh, b1.shape), dw2, _unbroadcast(g, b2.shape)
+
+    out = _rows_times(hidden(), w2.data) + b2.data
+    return Tensor(out, (x, w1, b1, w2, b2), "feed_forward", vjp)
+
+
+def reshape(a, shape) -> Tensor:
+    a = as_tensor(a)
+    return Tensor(a.data.reshape(shape), (a,), "reshape", lambda g: (g.reshape(a.shape),))
+
+
+def swapaxes(a, axis1: int, axis2: int) -> Tensor:
+    a = as_tensor(a)
+    return Tensor(a.data.swapaxes(axis1, axis2), (a,), "swapaxes",
+                  lambda g: (g.swapaxes(axis1, axis2),))
+
+
+def attention(q, k, v, mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention, softmax(q k^T / sqrt(d_k)) v, as one node.
+
+    q (..., Lq, d_k), k and v (..., Lk, d_k) with equal leading axes (batch,
+    heads). ``mask`` (Lq, Lk) marks blocked keys with True; their weights
+    are exact zeros. Returns the output (..., Lq, d_k) and the attention
+    weights (..., Lq, Lk) as a plain array. The tape keeps only q, k and v;
+    the backward pass recomputes the weights from them.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (q.data.ndim < 2 or k.shape != v.shape or q.shape[:-2] != k.shape[:-2]
+            or q.shape[-1] != k.shape[-1]):
+        raise ValueError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")
+    s = 1.0 / np.sqrt(q.shape[-1])
+    bias = None if mask is None else np.where(mask, -np.inf, 0.0)
+
+    def weights():  # softmax of the scaled, masked scores, in one buffer
+        w = q.data @ k.data.swapaxes(-1, -2)
+        w *= s
+        if bias is not None:
+            w += bias
+        w -= np.max(w, axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        return w
+
+    def vjp(g):
+        w = weights()  # recomputed rather than kept on the tape
+        ds = g @ v.data.swapaxes(-1, -2)  # d(weights), turned into d(scores) in place
+        ds -= (ds * w).sum(axis=-1, keepdims=True)
+        ds *= w
+        ds *= s
+        return ds @ k.data, ds.swapaxes(-1, -2) @ q.data, w.swapaxes(-1, -2) @ g
+
+    w = weights()
+    out = w @ v.data
+    if out.ndim > 2:  # lay out (..., H, Lq, d_k) with Lq outside H: merging heads is a view
+        out = np.ascontiguousarray(out.swapaxes(-3, -2)).swapaxes(-3, -2)
+    return Tensor(out, (q, k, v), "attention", vjp), w
 
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ValueError("concat: need at least one tensor")
-    if axis not in (0, 1):
-        raise ValueError(f"concat: axis must be 0 or 1, got {axis}")
+    ndim = parts[0].data.ndim
+    if not -ndim <= axis < ndim:
+        raise ValueError(f"concat: axis {axis} invalid for {ndim}-d tensors")
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
@@ -254,17 +363,21 @@ def _topo_order(seed: Tensor):
 
 
 def backward(seed: Tensor) -> dict[Tensor, np.ndarray]:
-    """Gradient of a scalar ``seed`` w.r.t. every node in its graph.
+    """Gradient of a scalar ``seed`` w.r.t. every leaf of its graph.
 
-    Returns a mapping from each recorded tensor (keyed by identity) to
-    d(seed)/d(tensor) with the tensor's shape.
+    Returns a mapping from each leaf tensor (parameters, constants; keyed by
+    identity) to d(seed)/d(leaf) with the leaf's shape. An op node's
+    gradient is dropped once it has been passed to the node's parents, so
+    the sweep holds only the gradients still waiting to be consumed.
     """
     if seed.data.size != 1:
         raise ValueError(f"backward: seed must be scalar, got shape {seed.shape}")
     grads: dict[Tensor, np.ndarray] = {seed: np.ones_like(seed.data)}
     for node in reversed(_topo_order(seed)):
-        g = grads.get(node)
-        if g is None or node._vjp is None:
+        if node._vjp is None:
+            continue
+        g = grads.pop(node, None)
+        if g is None:
             continue
         for parent, pg in zip(node.parents, node._vjp(g)):
             acc = grads.get(parent)

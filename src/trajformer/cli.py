@@ -27,6 +27,7 @@ from .model import Checkpoint, ModelParams, load_checkpoint, save_checkpoint
 from .pipeline import (FeatureSet, build_feature_set, decode_predictor, load_feature_cache,
                        resample_scene, save_feature_cache)
 from .plots import render_window_svg
+from .serialize import atomic_open
 from .synth import SCENARIOS, synth_dataset
 from .training import AdamState, TrainConfig, train
 
@@ -68,6 +69,24 @@ class _OutputLock:
         return False
 
 
+# per epoch: the last three are the mean pre-clip global gradient norm over the
+# epoch's minibatches, how many of them were clipped, and training windows/s
+TRAIN_LOG_HEADER = ["epoch", "train_loss", "val_loss", "wall_seconds",
+                    "grad_norm", "clipped_batches", "windows_per_s"]
+
+
+def _widen_train_log(path: Path) -> None:
+    """Rewrite a log from before the diagnostics columns under the current
+    header, its missing cells left empty, so resumed rows line up."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    if rows and rows[0] != TRAIN_LOG_HEADER:
+        width = len(TRAIN_LOG_HEADER)
+        with atomic_open(path, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows([TRAIN_LOG_HEADER] + [r + [""] * (width - len(r))
+                                                          for r in rows[1:]])
+
+
 def _config_from_args(args) -> RunConfig:
     return build_run_config(args.config, args.set or [])
 
@@ -82,12 +101,6 @@ def _checkpoint_meta(cfg: RunConfig, train_dataset: str, epochs_done: int) -> di
         "grid": asdict(cfg.grid),
         "semantic": asdict(cfg.semantic),
     }
-
-
-def _atomic_save_checkpoint(path: Path, params, stats, meta, adam) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    save_checkpoint(tmp, params, stats, meta, adam)
-    os.replace(tmp, path)
 
 
 def _features_for(fset: FeatureSet, context: bool) -> np.ndarray:
@@ -167,25 +180,26 @@ def cmd_train(args) -> int:
         raise DataError("feature cache holds no windows")
 
     features = _features_for(fset, cfg.context)
-    stats = FeatureStats.fit([features[i] for i in range(len(features))])
-    standardized = [stats.apply(features[i]) for i in range(len(features))]
-    targets = [fset.target_offsets[i] for i in range(len(fset))]
+    targets = fset.target_offsets
+    del fset  # only the standardized features are kept for training
     train_dataset = Path(cfg.train_root).name if cfg.train_root else "train"
 
     with _OutputLock(cfg.out_dir):
         start_epoch = 0
         state = None
-        params = ModelParams(cfg.model, seed=cfg.seed)
         if args.resume:
             ckpt = load_checkpoint(args.resume)
             if ckpt.params.config != cfg.model:
                 raise ConfigError("resume checkpoint config does not match run config")
-            params = ckpt.params
-            stats = ckpt.stats
-            standardized = [stats.apply(features[i]) for i in range(len(features))]
+            params, stats = ckpt.params, ckpt.stats
             start_epoch = int(ckpt.meta["epochs_done"])
             if ckpt.adam_moments is not None:
                 state = AdamState.restore(params, *ckpt.adam_moments)
+        else:
+            params = ModelParams(cfg.model, seed=cfg.seed)
+            stats = FeatureStats.fit([features])
+        standardized = stats.apply(features)
+        del features
         remaining = cfg.train.epochs - start_epoch
         if remaining <= 0:
             print(f"nothing to do: {start_epoch} epochs already trained")
@@ -199,31 +213,33 @@ def cmd_train(args) -> int:
 
         log_path = cfg.out_dir / "train_log.csv"
         mode = "a" if (args.resume and log_path.exists()) else "w"
+        if mode == "a":
+            _widen_train_log(log_path)
         log_file = open(log_path, mode, newline="", encoding="utf-8")
         log = csv.writer(log_file)
         if mode == "w":
-            log.writerow(["epoch", "train_loss", "val_loss", "wall_seconds"])
+            log.writerow(TRAIN_LOG_HEADER)
 
         ckpt_path = cfg.out_dir / "model.ckpt"
 
         def on_epoch(epoch, epoch_params, epoch_state, row):
             log.writerow([row["epoch"], repr(row["train_loss"]),
                           "" if np.isnan(row["val_loss"]) else repr(row["val_loss"]),
-                          f"{row['wall_seconds']:.3f}"])
+                          f"{row['wall_seconds']:.3f}", repr(row["grad_norm"]),
+                          row["clipped_batches"], f"{row['windows_per_s']:.1f}"])
             log_file.flush()
             if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
                 meta = _checkpoint_meta(cfg, train_dataset, epoch + 1)
                 adam = (epoch_state.m, epoch_state.v, epoch_state.tau)
-                _atomic_save_checkpoint(ckpt_path, epoch_params, stats, meta, adam)
+                save_checkpoint(ckpt_path, epoch_params, stats, meta, adam)
 
         try:
-            history, state = train(params, standardized, targets, run_cfg, state=state,
-                                    start_epoch=start_epoch, on_epoch=on_epoch)
+            history, state = train(params, standardized, targets, run_cfg,
+                                   state=state, start_epoch=start_epoch, on_epoch=on_epoch)
         finally:
             log_file.close()
         meta = _checkpoint_meta(cfg, train_dataset, start_epoch + remaining)
-        _atomic_save_checkpoint(ckpt_path, params, stats, meta,
-                                (state.m, state.v, state.tau))
+        save_checkpoint(ckpt_path, params, stats, meta, (state.m, state.v, state.tau))
         print(f"trained {remaining} epoch(s); final train loss "
               f"{history[-1]['train_loss']:.6f}; checkpoint {ckpt_path}")
     return 0
@@ -329,7 +345,7 @@ def cmd_predict(args) -> int:
 
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_path = out_dir / "predictions.csv"
-        with open(dump_path, "w", newline="", encoding="utf-8") as f:
+        with atomic_open(dump_path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["scene_id", "ego_id", "start_index", "step",
                              "pred_x_m", "pred_y_m", "gt_x_m", "gt_y_m"])

@@ -122,10 +122,12 @@ def load_tracks(path, adapter: str = "canonical") -> tuple[list[AgentTrack], str
     rows: dict[str, dict] = {}
     scene_id: str | None = None
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
+        records = _read_csv(path, f)
+        header = next(records)
         _check_header(path, adapter, header)
-        for row_no, rec in enumerate(reader, start=2):
+        for row_no, rec in enumerate(records, start=2):
+            if None in rec.values():
+                raise DataError(f"{path} row {row_no}: fewer than {len(header)} columns")
             if adapter == "canonical":
                 sid = rec["scene_id"]
                 if scene_id is None:
@@ -187,6 +189,18 @@ def load_tracks(path, adapter: str = "canonical") -> tuple[list[AgentTrack], str
         tracks.append(AgentTrack(agent_id, bucket["type"], np.array(bucket["t"]),
                                  np.array(bucket["m"]), px))
     return tracks, scene_id
+
+
+def _read_csv(path, f):
+    """The header, then each row as a dict; undecodable or malformed CSV
+    raises DataError."""
+    reader = csv.DictReader(f)
+    try:
+        yield reader.fieldnames or []
+        yield from reader
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV near line {reader.line_num + 1} "
+                        f"({exc})") from None
 
 
 def _check_header(path, adapter: str, header: list[str]) -> None:
@@ -340,20 +354,24 @@ class Scene:
 def parse_scene_meta(path) -> dict:
     if not Path(path).is_file():
         raise DataError(f"scene metadata file {path} does not exist")
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     meta = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path} line {line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if key == "meters_per_pixel" and not _parse_float(value, path, line_no, key) > 0:
-                raise DataError(f"{path} row {line_no}: meters_per_pixel must be positive, "
-                                f"got {value!r}")
-            meta[key] = value
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path} line {line_no}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if key == "meters_per_pixel" and not _parse_float(value, path, line_no, key) > 0:
+            raise DataError(f"{path} row {line_no}: meters_per_pixel must be positive, "
+                            f"got {value!r}")
+        meta[key] = value
     for key in ("scene_id", "meters_per_pixel", "label_map"):
         if key not in meta:
             raise DataError(f"{path}: missing key {key!r}")

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .serialize import atomic_open
 
 METHODS = ("context_tf", "vanilla_tf", "cv_kalman")
 
@@ -215,17 +215,17 @@ def emit_report(table: MetricsTable, path, fmt: str = "csv") -> None:
     """Write the metrics table; deterministic row and column order."""
     if not table.rows:
         raise ValueError("cannot emit an empty metrics table")
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as f:
+    if fmt not in ("csv", "markdown"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    with atomic_open(path, "w", newline="" if fmt == "csv" else None, encoding="utf-8") as f:
+        if fmt == "markdown":
+            f.write(render_markdown(table))
+        else:
             writer = csv.writer(f)
             writer.writerow(_CSV_HEADER)
             for r in table.sorted_rows():
                 writer.writerow([r.dataset, r.method, repr(float(r.horizon_s)),
                                  repr(float(r.ade_m)), repr(float(r.rmse_m)), r.n_windows])
-    elif fmt == "markdown":
-        Path(path).write_text(render_markdown(table), encoding="utf-8")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def load_report(path) -> MetricsTable:

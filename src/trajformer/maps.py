@@ -95,8 +95,13 @@ def read_pgm(path) -> np.ndarray:
                 j += 1
             tokens.append(data[i:j])
             i = j
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval > 255:
+    magic = tokens[0]
+    if magic not in (b"P5", b"P2"):
+        raise DataError(f"{path}: unsupported PGM magic {magic!r}")
+    w, h, maxval = (_pgm_int(path, t, "header value") for t in tokens[1:])
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: bad PGM size {w}x{h}")
+    if not 1 <= maxval <= 255:
         raise DataError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     if magic == b"P5":
         i += 1  # single whitespace after maxval
@@ -104,12 +109,19 @@ def read_pgm(path) -> np.ndarray:
         if len(raster) != w * h:
             raise DataError(f"{path}: truncated PGM raster")
         return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
-    if magic == b"P2":
-        values = data[i:].split()
-        if len(values) != w * h:
-            raise DataError(f"{path}: expected {w * h} PGM values, got {len(values)}")
-        return np.array([int(v) for v in values], dtype=np.uint8).reshape(h, w)
-    raise DataError(f"{path}: unsupported PGM magic {magic!r}")
+    values = data[i:].split()
+    if len(values) != w * h:
+        raise DataError(f"{path}: expected {w * h} PGM values, got {len(values)}")
+    pixels = [_pgm_int(path, v, "pixel value") for v in values]
+    if not all(0 <= v <= maxval for v in pixels):
+        raise DataError(f"{path}: PGM pixel value outside 0..{maxval}")
+    return np.array(pixels, dtype=np.uint8).reshape(h, w)
+
+
+def _pgm_int(path, token: bytes, what: str) -> int:
+    if not token.isdigit():
+        raise DataError(f"{path}: bad PGM {what} {token!r}")
+    return int(token)
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
@@ -164,11 +176,17 @@ def read_png_gray(path) -> np.ndarray:
     width = height = None
     idat = b""
     while pos < len(data):
+        if pos + 12 > len(data):
+            raise DataError(f"{path}: truncated PNG chunk at byte {pos}")
         (length,) = struct.unpack(">I", data[pos : pos + 4])
         kind = data[pos + 4 : pos + 8]
         payload = data[pos + 8 : pos + 8 + length]
+        if len(payload) != length:
+            raise DataError(f"{path}: truncated PNG chunk {kind!r} at byte {pos}")
         pos += 12 + length
         if kind == b"IHDR":
+            if length != 13:
+                raise DataError(f"{path}: IHDR chunk of {length} bytes, expected 13")
             width, height, bit_depth, color_type, _, _, interlace = struct.unpack(
                 ">IIBBBBB", payload
             )
@@ -185,7 +203,10 @@ def read_png_gray(path) -> np.ndarray:
             break
     if width is None:
         raise DataError(f"{path}: missing IHDR chunk")
-    raw = zlib.decompress(idat)
+    try:
+        raw = zlib.decompress(idat)
+    except zlib.error as exc:
+        raise DataError(f"{path}: corrupt PNG image data ({exc})") from None
     stride = width + 1
     if len(raw) != stride * height:
         raise DataError(f"{path}: bad scanline data length {len(raw)}")

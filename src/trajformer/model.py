@@ -5,15 +5,20 @@ consumes 2-D offsets only (all context flows through the encoder memory)
 and starts from a learned start token. Layers are post-norm: sublayer,
 residual add, layer norm.
 
-Training runs teacher-forced on the autodiff tape. Inference is a separate
-plain-numpy forward pass over a batch of windows: the encoder runs once and
-each decoder layer's cross-attention keys/values are computed once from its
-memory; each decoder layer keeps a key/value cache that grows by one row per
-emitted offset, and only the newest row goes through the decoder. Under the
-causal mask, with row-wise feed-forward and post-norm, earlier decoder rows
-never change, so this equals re-running the decoder over the whole prefix.
-Absolute positions are rebuilt by cumulative sum from the last observed
-position.
+Training runs teacher-forced on the autodiff tape, batched: every layer
+takes rows (..., L, d) with the windows of a minibatch as the leading axis,
+so one forward and one backward cover the whole minibatch, and each
+attention and feed-forward block is one fused node. A single (L, F) window
+runs the same code without the batch axis.
+
+Inference is a separate plain-numpy forward pass over a batch of windows:
+the encoder runs once and each decoder layer's cross-attention keys/values
+are computed once from its memory; each decoder layer keeps a key/value
+cache that grows by one row per emitted offset, and only the newest row
+goes through the decoder. Under the causal mask, with row-wise feed-forward
+and post-norm, earlier decoder rows never change, so this equals re-running
+the decoder over the whole prefix. Absolute positions are rebuilt by
+cumulative sum from the last observed position.
 """
 
 from __future__ import annotations
@@ -163,19 +168,19 @@ def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
 
 def embed_source(features, params: ModelParams) -> Tensor:
     x = ad.as_tensor(features)
-    if x.shape[1] != params.config.feature_dim:
+    if x.shape[-1] != params.config.feature_dim:
         raise ValueError(
-            f"feature dim {x.shape[1]} does not match model feature_dim {params.config.feature_dim}"
+            f"feature dim {x.shape[-1]} does not match model feature_dim {params.config.feature_dim}"
         )
     emb = ad.affine(x, params["src_embed.w"], params["src_embed.b"])
-    return ad.add(emb, Tensor(positional_encoding(x.shape[0], params.config.d_model)))
+    return ad.add(emb, Tensor(positional_encoding(x.shape[-2], params.config.d_model)))
 
 
 def embed_target(offsets, params: ModelParams) -> Tensor:
     y = ad.as_tensor(offsets)
     emb = ad.affine(y, params["tgt_embed.w"], params["tgt_embed.b"])
     # decoder positions restart at 0, independent of the encoder clock
-    return ad.add(emb, Tensor(positional_encoding(y.shape[0], params.config.d_model)))
+    return ad.add(emb, Tensor(positional_encoding(y.shape[-2], params.config.d_model)))
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -192,41 +197,31 @@ def multi_head_attention(
     prefix: str,
     attn_sink: list | None = None,
 ) -> Tensor:
+    """Attention over rows (..., L, d_model); leading axes are windows."""
     cfg = params.config
-    lq, lk = queries_in.shape[0], keys_in.shape[0]
+    lq, lk = queries_in.shape[-2], keys_in.shape[-2]
     if mask is not None:
         if mask.shape != (lq, lk):
             raise ValueError(f"mask shape {mask.shape} does not match ({lq}, {lk})")
         if mask.all(axis=1).any():
             raise ValueError(f"{prefix}: attention row is fully masked, no valid key")
-        mask_bias = Tensor(np.where(mask, -np.inf, 0.0))
 
-    q = ad.affine(queries_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = ad.affine(keys_in, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = ad.affine(values_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    def heads(x, p):  # (..., L, d) -> (..., H, L, d_k)
+        x = ad.affine(x, params[f"{prefix}.w{p}"], params[f"{prefix}.b{p}"])
+        return ad.swapaxes(ad.reshape(x, x.shape[:-1] + (cfg.n_heads, cfg.d_k)), -3, -2)
 
-    d_k = cfg.d_k
-    inv_sqrt = 1.0 / np.sqrt(d_k)
-    heads = []
-    for h in range(cfg.n_heads):
-        lo, hi = h * d_k, (h + 1) * d_k
-        qh = ad.slice_cols(q, lo, hi)
-        kh = ad.slice_cols(k, lo, hi)
-        vh = ad.slice_cols(v, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt)
-        if mask is not None:
-            scores = ad.add(scores, mask_bias)
-        weights = ad.softmax(scores, axis=-1)
-        if attn_sink is not None:
-            attn_sink.append({"block": prefix, "head": h, "weights": weights.data.copy()})
-        heads.append(ad.matmul(weights, vh))
-    merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
+    out, weights = ad.attention(heads(queries_in, "q"), heads(keys_in, "k"),
+                                heads(values_in, "v"), mask)
+    if attn_sink is not None:
+        for h in range(cfg.n_heads):
+            attn_sink.append({"block": prefix, "head": h, "weights": weights[..., h, :, :].copy()})
+    merged = ad.reshape(ad.swapaxes(out, -3, -2), queries_in.shape[:-1] + (cfg.d_model,))
     return ad.affine(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _feed_forward(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    hidden = ad.relu(ad.affine(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return ad.affine(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return ad.feed_forward(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"],
+                           params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _sublayer(x: Tensor, out: Tensor, params: ModelParams, norm: str,
@@ -234,7 +229,7 @@ def _sublayer(x: Tensor, out: Tensor, params: ModelParams, norm: str,
     cfg = params.config
     if rng is not None and cfg.dropout > 0.0:
         out = ad.dropout(out, cfg.dropout, rng)
-    return ad.layer_norm(ad.add(x, out), params[f"{norm}.gain"], params[f"{norm}.bias"])
+    return ad.layer_norm(x, params[f"{norm}.gain"], params[f"{norm}.bias"], residual=out)
 
 
 def encoder_forward(
@@ -258,7 +253,7 @@ def decoder_forward(
     attn_sink: list | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    m = target_embedded.shape[0]
+    m = target_embedded.shape[-2]
     if m == 0:
         raise ValueError("decoder target is empty")
     mask = causal_mask(m)
@@ -285,16 +280,25 @@ def teacher_forced_offsets(
     attn_sink: list | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Predicted offsets (kappa, 2) under teacher forcing.
+    """Predicted offsets under teacher forcing, on the tape.
 
-    Decoder input row i is the ground-truth offset i-1 (the start token at
-    row 0), so output row i is the prediction for offset i.
+    Windows (B, L, F) with targets (B, kappa, 2) give (B, kappa, 2); a
+    single (L, F) window with (kappa, 2) targets gives (kappa, 2). Decoder
+    input row i is the ground-truth offset i-1 (the start token at row 0),
+    so output row i is the prediction for offset i.
     """
-    memory = encoder_forward(embed_source(features_std, params), params, attn_sink, rng)
-    kappa = len(target_offsets)
+    features = ad.as_tensor(features_std)
+    targets = np.asarray(target_offsets, dtype=np.float64)
+    if features.data.ndim != targets.ndim or features.shape[:-2] != targets.shape[:-2]:
+        raise ValueError(f"features {features.shape} and targets {targets.shape} "
+                         "do not describe the same windows")
+    memory = encoder_forward(embed_source(features, params), params, attn_sink, rng)
+    kappa, lead = targets.shape[-2], targets.shape[:-2]
     dec_in = params["start_token"]
+    if lead:  # the one learned start row, repeated for every window
+        dec_in = ad.add(Tensor(np.zeros(lead + dec_in.shape)), dec_in)
     if kappa > 1:
-        dec_in = ad.concat([dec_in, Tensor(np.asarray(target_offsets)[: kappa - 1])], axis=0)
+        dec_in = ad.concat([dec_in, Tensor(targets[..., : kappa - 1, :])], axis=-2)
     decoded = decoder_forward(embed_target(dec_in, params), memory, params, attn_sink, rng)
     return project_output(decoded, params)
 

@@ -5,6 +5,8 @@ header, then the raw C-order bytes of each array in header order. Arrays are
 stored little-endian ('<f8' / '<i8'), names sorted, JSON keys sorted: the
 same content always produces the same bytes, which npz (embedded zip
 timestamps) does not guarantee. Checkpoints and feature caches both use it.
+Writes go through ``atomic_open``: a crash mid-write leaves the previous
+file, never a partial one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -31,25 +34,46 @@ def _storage_dtype(arr: np.ndarray) -> str:
     raise ValueError(f"unsupported array dtype {arr.dtype}")
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open ``path`` for writing through a sibling ``.tmp`` file that replaces
+    ``path`` only once the block completes; on any error the temporary file
+    is removed and ``path`` is left as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_bundle(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write the bundle atomically, streaming each array's bytes to the file."""
+    names = sorted(arrays)
     entries = []
-    blobs = []
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        dt = _storage_dtype(arr)
-        entries.append({"name": name, "dtype": dt, "shape": list(arr.shape)})
-        blobs.append(arr.astype(_DTYPES[dt], copy=False).tobytes(order="C"))
+    for name in names:
+        arr = np.atleast_1d(arrays[name])  # a 0-d array is stored as shape [1]
+        entries.append({"name": name, "dtype": _storage_dtype(arr), "shape": list(arr.shape)})
     header = json.dumps(
         {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": entries},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(MAGIC)
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        for name, entry in zip(names, entries):
+            _write_array(f, arrays[name], entry["dtype"])
+
+
+def _write_array(f, arr, dtype: str) -> None:
+    # converts (and copies) only an array not already stored-layout C-order
+    stored = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
+    f.write(stored.reshape(-1).view(np.uint8))
 
 
 def load_bundle(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
@@ -96,6 +120,8 @@ def _manifest(path, header: dict) -> list[tuple[str, np.dtype, tuple]]:
         raise DataError(f"{path}: malformed array manifest in header") from None
     out = []
     for name, dtype, shape in entries:
+        if not isinstance(name, str):
+            raise DataError(f"{path}: array name {name!r} is not a string")
         if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise DataError(f"{path}: array {name!r} has unknown dtype {dtype!r}")
         if min(shape, default=0) < 0:

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DivergenceError
-from .model import ModelParams, teacher_forced_offsets
+from .model import ModelConfig, ModelParams, teacher_forced_offsets
 
 _VAL_STREAM = 0x5EED
 
@@ -74,40 +74,113 @@ def l2_loss(pred, target) -> Tensor:
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
               cfg: TrainConfig) -> None:
-    """Standard Adam update with bias correction; params replaced in place."""
+    """Standard Adam update with bias correction.
+
+    Moments and parameter arrays are updated in place, with the operations
+    in the order of lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is
+    bit-equal to computing each new array afresh.
+    """
     state.tau += 1
     bc1 = 1.0 - cfg.beta1 ** state.tau
     bc2 = 1.0 - cfg.beta2 ** state.tau
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
-        update = cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        params.tensors[name] = Tensor(params.tensors[name].data - update)
+        m, v = state.m[name], state.v[name]
+        tmp = np.multiply(g, 1.0 - cfg.beta1)
+        m *= cfg.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - cfg.beta2
+        v *= cfg.beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        update = np.divide(m, bc1)
+        update *= cfg.learning_rate
+        update /= tmp
+        params.tensors[name].data -= update
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        factor = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * factor
+def _global_norm(grads: dict[str, np.ndarray]) -> float:
+    return float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
 
 
-def _window_loss(params: ModelParams, features: np.ndarray, target: np.ndarray,
-                 rng: np.random.Generator | None = None) -> Tensor:
-    return l2_loss(teacher_forced_offsets(params, features, target, rng=rng), target)
+# Windows go through the tape together in chunks whose forward activations
+# (float64) fit in this many bytes; a larger minibatch is split into chunks
+# and each chunk's gradient is weighted by its share of the minibatch.
+TRAIN_BUDGET_BYTES = 256 * 2**20
 
 
-def _eval_mean_loss(params: ModelParams, features: list, targets: list) -> float:
-    return float(np.mean([_window_loss(params, f, t).item() for f, t in zip(features, targets)]))
+def train_chunk_size(cfg: ModelConfig, src_len: int, kappa: int) -> int:
+    """Windows per tape chunk under TRAIN_BUDGET_BYTES (at least one).
+
+    Per layer the tape keeps about 10 d_model-wide rows per source step
+    (8 in the encoder, the memory's cross-attention keys and values) and 12
+    per target step: 22 MB per window at the paper shape.
+    """
+    rows = cfg.n_layers * (10 * src_len + 12 * kappa) + 2 * (src_len + kappa)
+    return max(1, TRAIN_BUDGET_BYTES // (8 * cfg.d_model * rows))
+
+
+def _window_losses(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each window's mean L2, as ``l2_loss`` computes it for one window."""
+    diff = pred - targets
+    return (diff * diff).reshape(len(diff), -1).mean(axis=1)
+
+
+def _batch_gradients(params: ModelParams, features: np.ndarray, targets: np.ndarray,
+                     rng: np.random.Generator | None = None,
+                     where: str = "") -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Gradient of the mean over windows of each window's mean L2, and the
+    per-window losses. Windows (B, L, F) run as one tape per chunk of
+    ``train_chunk_size`` windows; with several chunks, chunk c's loss is
+    weighted by n_c / B before its backward and the gradients are summed."""
+    n = len(features)
+    chunk = train_chunk_size(params.config, features.shape[1], targets.shape[1])
+    losses = np.empty(n)
+    total: dict[str, np.ndarray] = {}
+    for lo in range(0, n, chunk):
+        f, t = features[lo:lo + chunk], targets[lo:lo + chunk]
+        pred = teacher_forced_offsets(params, f, t, rng=rng)
+        losses[lo:lo + len(f)] = _window_losses(pred.data, t)
+        if not np.all(np.isfinite(losses[lo:lo + len(f)])):
+            raise DivergenceError(f"training loss is not finite{where}")
+        loss = l2_loss(pred, t)
+        grads = ad.backward(loss if len(f) == n else ad.scale(loss, len(f) / n))
+        for name, tensor in params.tensors.items():
+            g = grads.get(tensor)
+            if g is None:
+                g = np.zeros_like(tensor.data)
+            total[name] = g if name not in total else total[name] + g
+        del pred, loss, grads  # free this chunk's tape before the next one is built
+    return total, losses
+
+
+def _eval_mean_loss(params: ModelParams, features: np.ndarray, targets: np.ndarray) -> float:
+    """Mean over windows of each window's mean L2, forward only, in chunks."""
+    chunk = train_chunk_size(params.config, features.shape[1], targets.shape[1])
+    losses = [_window_losses(teacher_forced_offsets(params, features[lo:lo + chunk],
+                                                    targets[lo:lo + chunk]).data,
+                             targets[lo:lo + chunk])
+              for lo in range(0, len(features), chunk)]
+    return float(np.mean(np.concatenate(losses)))
+
+
+def _stack_windows(features, targets) -> tuple[np.ndarray, np.ndarray]:
+    if len(features) != len(targets) or not len(features):
+        raise ValueError(f"{len(features)} feature blocks vs {len(targets)} target blocks")
+    try:
+        return np.asarray(features, dtype=np.float64), np.asarray(targets, dtype=np.float64)
+    except ValueError:
+        raise ValueError("feature and target windows must each share one shape") from None
 
 
 def train(
     params: ModelParams,
-    features: list[np.ndarray],
-    targets: list[np.ndarray],
+    features: list[np.ndarray] | np.ndarray,
+    targets: list[np.ndarray] | np.ndarray,
     cfg: TrainConfig,
     state: AdamState | None = None,
     start_epoch: int = 0,
@@ -115,13 +188,22 @@ def train(
 ) -> tuple[list[dict], AdamState]:
     """Teacher-forced training loop over standardized feature windows.
 
+    Windows (a list or an (N, L, F) array, all of one shape) are shuffled
+    per epoch and cut into minibatches; each minibatch is one forward and
+    one backward on the tape (chunked under ``TRAIN_BUDGET_BYTES``) and one
+    Adam step. The loss is the mean over the minibatch of each window's mean
+    L2. With dropout, masks come from the stream
+    ``default_rng([seed, epoch, 1])``: one draw per dropout op per chunk,
+    shaped like that op's (chunk, L, d) activations.
+
     Returns one history row per epoch: epoch index, mean train loss, mean
-    validation loss (NaN when no carve-out) and wall seconds. ``on_epoch``
-    is called after each epoch with (epoch, params, state, row); the CLI
-    hangs checkpointing off it.
+    validation loss (NaN when no carve-out), wall seconds, the mean pre-clip
+    global gradient norm over the epoch's minibatches, the number of
+    minibatches whose gradient was clipped, and training windows per wall
+    second. ``on_epoch`` is called after each epoch with (epoch, params,
+    state, row); the CLI hangs checkpointing off it.
     """
-    if len(features) != len(targets) or not features:
-        raise ValueError(f"{len(features)} feature blocks vs {len(targets)} target blocks")
+    features, targets = _stack_windows(features, targets)
     n = len(features)
     state = state or AdamState(params)
 
@@ -137,38 +219,32 @@ def train(
         rng = np.random.default_rng([cfg.seed, epoch])
         order = train_idx[rng.permutation(len(train_idx))]
         drop_rng = np.random.default_rng([cfg.seed, epoch, 1]) if params.config.dropout else None
-        losses = []
+        losses, norms, clipped = [], [], 0
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
-            acc = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-            for idx in batch:
-                loss = _window_loss(params, features[idx], targets[idx], rng=drop_rng)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise DivergenceError(
-                        f"training loss is not finite at epoch {epoch}, batch {batch_no}"
-                    )
-                losses.append(value)
-                grads = ad.backward(loss)
-                for name, tensor in params.tensors.items():
-                    g = grads.get(tensor)
-                    if g is not None:
-                        acc[name] += g
-            for name in acc:
-                acc[name] /= len(batch)
-            if cfg.grad_clip is not None:
-                _clip_gradients(acc, cfg.grad_clip)
-            adam_step(params, acc, state, cfg)
-        val_loss = (
-            _eval_mean_loss(params, [features[i] for i in val_idx], [targets[i] for i in val_idx])
-            if len(val_idx)
-            else float("nan")
-        )
+            grads, batch_losses = _batch_gradients(
+                params, features[batch], targets[batch], drop_rng,
+                f" at epoch {epoch}, batch {batch_no}")
+            losses.extend(batch_losses.tolist())
+            norm = _global_norm(grads)
+            norms.append(norm)
+            if cfg.grad_clip is not None and norm > cfg.grad_clip:
+                clipped += 1
+                factor = cfg.grad_clip / norm
+                for name in grads:  # one new array at a time
+                    grads[name] = grads[name] * factor
+            adam_step(params, grads, state, cfg)
+        val_loss = (_eval_mean_loss(params, features[val_idx], targets[val_idx])
+                    if len(val_idx) else float("nan"))
+        wall = time.perf_counter() - started
         row = {
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),
             "val_loss": val_loss,
-            "wall_seconds": time.perf_counter() - started,
+            "wall_seconds": wall,
+            "grad_norm": float(np.mean(norms)),
+            "clipped_batches": clipped,
+            "windows_per_s": len(order) / wall,
         }
         history.append(row)
         if on_epoch is not None:
@@ -178,27 +254,20 @@ def train(
 
 def verify_gradients(
     params: ModelParams,
-    features: list[np.ndarray],
-    targets: list[np.ndarray],
+    features: list[np.ndarray] | np.ndarray,
+    targets: list[np.ndarray] | np.ndarray,
     n_samples: int = 20,
     h: float = 1e-6,
     seed: int = 0,
 ) -> dict:
-    """Central-difference check of sampled parameter coordinates.
+    """Central-difference check of sampled parameter coordinates of the
+    minibatch loss (mean over windows of each window's mean L2).
 
     Relative error uses max(|analytic|, |numeric|, 1e-6) as denominator.
     Returns the worst offender's coordinates alongside the full sample list.
     """
-
-    def batch_loss_value() -> float:
-        return float(np.mean([_window_loss(params, f, t).item() for f, t in zip(features, targets)]))
-
-    losses = [_window_loss(params, f, t) for f, t in zip(features, targets)]
-    total = losses[0]
-    for extra in losses[1:]:
-        total = ad.add(total, extra)
-    grads = ad.backward(ad.scale(total, 1.0 / len(losses)))
-    analytic = {name: grads.get(t, np.zeros_like(t.data)) for name, t in params.tensors.items()}
+    features, targets = _stack_windows(features, targets)
+    analytic, _ = _batch_gradients(params, features, targets)
 
     rng = np.random.default_rng(seed)
     names = params.names()
@@ -211,9 +280,9 @@ def verify_gradients(
         keep = arr[idx]
         try:
             arr[idx] = keep + h
-            up = batch_loss_value()
+            up = _eval_mean_loss(params, features, targets)
             arr[idx] = keep - h
-            down = batch_loss_value()
+            down = _eval_mean_loss(params, features, targets)
         finally:
             arr[idx] = keep
         numeric = (up - down) / (2.0 * h)

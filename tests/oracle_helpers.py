@@ -2,12 +2,14 @@
 
 These are deliberately written from the definitions (explicit loops,
 meshgrids, textbook filter equations) rather than sharing any code with
-the package. Two references reuse package parts that other oracles check:
-the decode reference runs the gradient-checked teacher-forced layers on the
-autodiff tape, and the window-feature reference calls the polar grid and
-semantic histogram kernels that ``brute_force_grid`` and
-``brute_force_semantics`` pin down.
+the package. Some references reuse package parts that other oracles check:
+the decode and training references run the gradient-checked teacher-forced
+layers on the autodiff tape one window at a time, and the window-feature
+reference calls the polar grid and semantic histogram kernels that
+``brute_force_grid`` and ``brute_force_semantics`` pin down.
 """
+
+import json
 
 import numpy as np
 
@@ -16,8 +18,9 @@ from trajformer.data import extract_windows
 from trajformer.errors import DivergenceError
 from trajformer.features import compute_offsets, feature_dim, polar_occupancy, semantic_histogram
 from trajformer.model import (decoder_forward, embed_source, embed_target, encoder_forward,
-                              project_output)
+                              project_output, teacher_forced_offsets)
 from trajformer.pipeline import FeatureSet, target_offsets_for
+from trajformer.training import AdamState, l2_loss
 
 AGENT_CHANNEL = {"pedestrian": 0, "vehicle": 1, "cyclist": 2}
 N_LABELS = 6
@@ -159,3 +162,82 @@ def _window_features(window, refs, by_id, scene_map, pg, sc, context):
         out[i, 2 : 2 + pg.n_cells] = polar_occupancy(ego_px, neighbors, pg).reshape(-1)
         out[i, 2 + pg.n_cells :] = semantic_histogram(ego_px, scene_map, sc)
     return out
+
+
+def reference_adam_step(params, grads, state, cfg):
+    """Textbook Adam with bias correction, every result a fresh array."""
+    state.tau += 1
+    bc1 = 1.0 - cfg.beta1 ** state.tau
+    bc2 = 1.0 - cfg.beta2 ** state.tau
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+        m = state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
+        v = state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
+        update = cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        params.tensors[name] = ad.Tensor(params.tensors[name].data - update)
+
+
+def reference_train(params, features, targets, cfg, state=None, start_epoch=0):
+    """The per-window training loop: one tape and one backward per window,
+    gradients summed per parameter and divided by the minibatch size, the
+    clip norm from sum(g * g), then ``reference_adam_step``. Same carve-out,
+    shuffles and dropout stream seeds as ``train``; dropout masks are drawn
+    per window. Returns (history rows of train_loss/val_loss, state)."""
+    n = len(features)
+    state = state or AdamState(params)
+    perm = np.random.default_rng([cfg.seed, 0x5EED]).permutation(n)
+    n_val = int(round(cfg.val_fraction * n))
+    val_idx = perm[:n_val] if n - n_val >= 1 else perm[:0]
+    train_idx = perm[len(val_idx):]
+
+    def window_loss(f, t, rng=None):
+        return l2_loss(teacher_forced_offsets(params, f, t, rng=rng), t)
+
+    history = []
+    for epoch in range(start_epoch, start_epoch + cfg.epochs):
+        rng = np.random.default_rng([cfg.seed, epoch])
+        order = train_idx[rng.permutation(len(train_idx))]
+        drop_rng = np.random.default_rng([cfg.seed, epoch, 1]) if params.config.dropout else None
+        losses = []
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            acc = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+            for idx in batch:
+                loss = window_loss(features[idx], targets[idx], drop_rng)
+                losses.append(loss.item())
+                grads = ad.backward(loss)
+                for name, tensor in params.tensors.items():
+                    g = grads.get(tensor)
+                    if g is not None:
+                        acc[name] += g
+            for name in acc:
+                acc[name] /= len(batch)
+            if cfg.grad_clip is not None:
+                total = np.sqrt(sum(float(np.sum(g * g)) for g in acc.values()))
+                if total > cfg.grad_clip:
+                    acc = {name: g * (cfg.grad_clip / total) for name, g in acc.items()}
+            reference_adam_step(params, acc, state, cfg)
+        val_loss = (float(np.mean([window_loss(features[i], targets[i]).item() for i in val_idx]))
+                    if len(val_idx) else float("nan"))
+        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
+                        "val_loss": val_loss})
+    return history, state
+
+
+def reference_save_bundle(path, arrays, meta=None):
+    """The bundle writer that first converts every array to bytes, then writes."""
+    entries, blobs = [], []
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
+        dt = "<f8" if arr.dtype.kind == "f" else "<i8"
+        entries.append({"name": name, "dtype": dt, "shape": list(arr.shape)})
+        blobs.append(arr.astype(np.dtype(dt), copy=False).tobytes(order="C"))
+    header = json.dumps({"format_version": 1, "meta": meta or {}, "arrays": entries},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(b"TJF1")
+        f.write(len(header).to_bytes(8, "little"))
+        f.write(header)
+        for blob in blobs:
+            f.write(blob)

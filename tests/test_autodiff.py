@@ -221,8 +221,11 @@ def test_backward_attention_block_vs_finite_differences():
 @pytest.mark.parametrize(
     "name",
     ["add", "add_bias", "sub", "mul", "scale", "matmul", "transpose", "relu",
-     "softmax", "layer_norm", "affine", "slice_cols", "concat0", "concat1",
-     "tsum", "tmean"],
+     "softmax", "layer_norm", "affine", "concat0", "concat1", "tsum", "tmean",
+     "add_bias_batched", "add_rows_batched", "sub_bias_batched", "matmul_batched",
+     "affine_batched", "layer_norm_batched", "softmax_batched",
+     "concat_batched", "reshape", "swapaxes", "attention", "attention_causal",
+     "attention_batched", "feed_forward_batched", "layer_norm_residual_batched"],
 )
 def test_gradcheck_each_op(name):
     # analytic vs central differences at random points, per operation; crc32
@@ -275,9 +278,59 @@ def test_gradcheck_each_op(name):
             leaves = [Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2))),
                       Tensor(rng.normal(size=2))]
             build = lambda ls: scalarize(ad.affine(ls[0], ls[1], ls[2]))
-        elif name == "slice_cols":
-            leaves = [Tensor(rng.normal(size=(3, 4)))]
-            build = lambda ls: scalarize(ad.slice_cols(ls[0], 1, 3))
+        elif name == "add_bias_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=4))]
+            build = lambda ls: scalarize(ad.add(ls[0], ls[1]))
+        elif name == "add_rows_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(3, 4)))]
+            build = lambda ls: scalarize(ad.add(ls[0], ls[1]))
+        elif name == "sub_bias_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=4))]
+            build = lambda ls: scalarize(ad.sub(ls[0], ls[1]))
+        elif name == "matmul_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(4, 2)))]
+            build = lambda ls: scalarize(ad.matmul(ls[0], ls[1]))
+        elif name == "affine_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(4, 2))),
+                      Tensor(rng.normal(size=2))]
+            build = lambda ls: scalarize(ad.affine(ls[0], ls[1], ls[2]))
+        elif name == "feed_forward_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(4, 5))),
+                      Tensor(rng.normal(size=5)), Tensor(rng.normal(size=(5, 4))),
+                      Tensor(rng.normal(size=4))]
+            build = lambda ls: scalarize(ad.feed_forward(*ls))
+        elif name == "layer_norm_residual_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 3, 4))),
+                      Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))]
+            build = lambda ls: scalarize(ad.layer_norm(ls[0], ls[2], ls[3], residual=ls[1]))
+        elif name == "layer_norm_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=4)),
+                      Tensor(rng.normal(size=4))]
+            build = lambda ls: scalarize(ad.layer_norm(ls[0], ls[1], ls[2]))
+        elif name == "softmax_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4)))]
+            build = lambda ls: scalarize(ad.softmax(ls[0], axis=-1))
+        elif name == "concat_batched":
+            leaves = [Tensor(rng.normal(size=(2, 1, 3))), Tensor(rng.normal(size=(2, 4, 3)))]
+            build = lambda ls: scalarize(ad.concat(ls, axis=-2))
+        elif name == "reshape":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4)))]
+            build = lambda ls: scalarize(ad.reshape(ls[0], (2, 3, 2, 2)))
+        elif name == "swapaxes":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4)))]
+            build = lambda ls: scalarize(ad.swapaxes(ls[0], -3, -2))
+        elif name == "attention":
+            leaves = [Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(5, 4))),
+                      Tensor(rng.normal(size=(5, 4)))]
+            build = lambda ls: scalarize(ad.attention(*ls)[0])
+        elif name == "attention_causal":
+            leaves = [Tensor(rng.normal(size=(2, 2, 4, 3))) for _ in range(3)]
+            mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
+            build = lambda ls, mask=mask: scalarize(ad.attention(*ls, mask)[0])
+        elif name == "attention_batched":
+            leaves = [Tensor(rng.normal(size=(2, 3, 4, 2))), Tensor(rng.normal(size=(2, 3, 5, 2))),
+                      Tensor(rng.normal(size=(2, 3, 5, 2)))]
+            build = lambda ls: scalarize(ad.attention(*ls)[0])
         elif name == "concat0":
             leaves = [Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(3, 4)))]
             build = lambda ls: scalarize(ad.concat(ls, axis=0))
@@ -291,6 +344,56 @@ def test_gradcheck_each_op(name):
             leaves = [Tensor(rng.normal(size=(3, 4)))]
             build = lambda ls: ad.tmean(ls[0])
         fd_check(build, leaves, tol=1e-5)
+
+
+def test_attention_matches_composed_ops():
+    # the fused node against the same computation spelled out op by op
+    rng = np.random.default_rng(8)
+    q, k, v = (rng.normal(size=(2, 4, 3)) for _ in range(3))
+    mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
+    out, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+    for b in range(2):
+        scores = ad.scale(ad.matmul(Tensor(q[b]), ad.transpose(Tensor(k[b]))), 1 / np.sqrt(3))
+        w = ad.softmax(ad.add(scores, Tensor(np.where(mask, -np.inf, 0.0))), axis=-1)
+        assert np.array_equal(weights[b], w.data)
+        assert np.array_equal(out.data[b], ad.matmul(w, Tensor(v[b])).data)
+    assert np.all(weights[:, mask] == 0.0)
+
+
+def test_fused_feed_forward_and_residual_norm_match_composed_ops():
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+    w1, b1, w2, b2, gain, bias = (rng.normal(size=s) for s in ((4, 6), 6, (6, 4), 4, 4, 4))
+    leaves = [Tensor(a) for a in (x, w1, b1, w2, b2)]
+    fused = ad.feed_forward(*leaves)
+    hidden = ad.relu(ad.affine(leaves[0], leaves[1], leaves[2]))
+    composed = ad.affine(hidden, leaves[3], leaves[4])
+    assert np.array_equal(fused.data, composed.data)
+    proj = Tensor(rng.normal(size=fused.shape))
+    got = backward(ad.tsum(ad.mul(fused, proj)))
+    want = backward(ad.tsum(ad.mul(composed, proj)))
+    for leaf in leaves:
+        assert np.array_equal(got[leaf], want[leaf])
+    fused = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), residual=Tensor(y))
+    composed = ad.layer_norm(ad.add(Tensor(x), Tensor(y)), Tensor(gain), Tensor(bias))
+    assert np.array_equal(fused.data, composed.data)
+    with pytest.raises(ValueError, match="residual"):
+        ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), residual=Tensor(y[0]))
+
+
+def test_batched_matmul_equals_per_row_block_products():
+    rng = np.random.default_rng(9)
+    x, w = rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 2))
+    out = ad.matmul(Tensor(x), Tensor(w)).data
+    for b in range(3):
+        assert np.max(np.abs(out[b] - x[b] @ w)) < 1e-14
+
+
+def test_backward_keeps_only_leaf_gradients():
+    x = Tensor(np.ones((2, 3)))
+    hidden = ad.relu(x)
+    grads = backward(ad.tsum(ad.mul(hidden, hidden)))
+    assert x in grads and hidden not in grads
 
 
 def test_shared_input_gradient_accumulates():

@@ -160,6 +160,10 @@ def test_train_writes_checkpoint_and_log(tmp_path, dataset):
         rows = list(csv.DictReader(f))
     assert [r["epoch"] for r in rows] == ["0", "1"]
     assert all(float(r["train_loss"]) > 0 for r in rows)
+    assert list(rows[0]) == ["epoch", "train_loss", "val_loss", "wall_seconds",
+                             "grad_norm", "clipped_batches", "windows_per_s"]
+    assert all(float(r["grad_norm"]) > 0 and float(r["windows_per_s"]) > 0 for r in rows)
+    assert all(0 <= int(r["clipped_batches"]) for r in rows)
 
 
 def test_resume_continues_loss_curve(tmp_path, dataset):
@@ -177,6 +181,22 @@ def test_resume_continues_loss_curve(tmp_path, dataset):
     with open(part_out / "train_log.csv") as f:
         spliced = [r["train_loss"] for r in csv.DictReader(f)]
     assert spliced == full_losses
+
+
+def test_resume_widens_a_log_without_diagnostics_columns(tmp_path, dataset):
+    out = tmp_path / "out"
+    assert run("preprocess", *desk_args(dataset, out, ["train.epochs=1"])) == 0
+    assert run("train", *desk_args(dataset, out, ["train.epochs=1"])) == 0
+    log = out / "train_log.csv"
+    old_rows = [row[:4] for row in csv.reader(log.open(newline=""))]
+    with log.open("w", newline="") as f:
+        csv.writer(f).writerows(old_rows)
+    assert run("train", *desk_args(dataset, out, ["train.epochs=2"]),
+               "--resume", str(out / "model.ckpt")) == 0
+    rows = list(csv.reader(log.open(newline="")))
+    assert rows[0][4:] == ["grad_norm", "clipped_batches", "windows_per_s"]
+    assert rows[1] == old_rows[1] + ["", "", ""]
+    assert len(rows) == 3 and len(rows[2]) == 7 and float(rows[2][4]) > 0
 
 
 def test_evaluate_oracle_self_test_zero_table(tmp_path, dataset):

@@ -373,6 +373,58 @@ def test_whole_model_gradcheck_tiny():
     assert worst < 1e-4
 
 
+def test_whole_model_gradcheck_batch_of_three():
+    cfg = ModelConfig(feature_dim=5, d_model=8, n_heads=2, n_layers=1, d_ff=12)
+    params = ModelParams(cfg, seed=26)
+    rng = np.random.default_rng(27)
+    features = rng.normal(size=(3, 4, 5))
+    targets = rng.normal(size=(3, 3, 2))
+
+    def loss_value():
+        diff = ad.sub(teacher_forced_offsets(params, features, targets), Tensor(targets))
+        return ad.tmean(ad.mul(diff, diff))
+
+    grads = backward(loss_value())
+    h = 1e-6
+    worst = 0.0
+    sample_rng = np.random.default_rng(28)
+    names = params.names()
+    for _ in range(40):
+        name = names[sample_rng.integers(len(names))]
+        arr = params.tensors[name].data
+        idx = np.unravel_index(sample_rng.integers(arr.size), arr.shape)
+        keep = arr[idx]
+        arr[idx] = keep + h
+        up = loss_value().item()
+        arr[idx] = keep - h
+        down = loss_value().item()
+        arr[idx] = keep
+        numeric = (up - down) / (2 * h)
+        analytic = float(grads[params.tensors[name]][idx])
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6))
+    assert worst < 1e-4
+
+
+def test_batched_forward_equals_per_window_forward():
+    params = tiny_params(seed=29)
+    rng = np.random.default_rng(30)
+    features = rng.normal(size=(4, 6, TINY.feature_dim))
+    targets = rng.normal(size=(4, 5, 2))
+    sink = []
+    batched = teacher_forced_offsets(params, features, targets, attn_sink=sink).data
+    assert batched.shape == (4, 5, 2)
+    assert len(sink) == TINY.n_layers * TINY.n_heads * 3
+    for i in range(4):
+        one_sink = []
+        one = teacher_forced_offsets(params, features[i], targets[i], attn_sink=one_sink).data
+        assert np.max(np.abs(batched[i] - one)) <= 1e-12 * np.max(np.abs(one))
+        for rec, one_rec in zip(sink, one_sink):
+            assert (rec["block"], rec["head"]) == (one_rec["block"], one_rec["head"])
+            assert np.max(np.abs(rec["weights"][i] - one_rec["weights"])) < 1e-12
+    with pytest.raises(ValueError, match="same windows"):
+        teacher_forced_offsets(params, features, targets[0])
+
+
 def test_ablation_config_shrinks_source_embedding():
     cfg = ModelConfig(feature_dim=2, d_model=8, n_heads=2, n_layers=1)
     params = ModelParams(cfg)

@@ -78,6 +78,8 @@ def manifest(*arrays):
      "unknown dtype"),
     ("truncated.bin", manifest({"name": "x", "dtype": "<f8", "shape": [2]}), bytes(8),
      "truncated array"),
+    ("name_not_string.bin", manifest({"name": [1], "dtype": "<f8", "shape": [1]}), bytes(8),
+     "not a string"),
 ])
 def test_malformed_bundle_names_file(tmp_path, name, header, payload, message):
     path = raw_bundle(tmp_path / name, header, payload)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from oracle_helpers import reference_adam_step, reference_train
 
 from trajformer import autodiff as ad
+from trajformer import training
 from trajformer.autodiff import Tensor, backward
 from trajformer.errors import DivergenceError
 from trajformer.model import ModelConfig, ModelParams, teacher_forced_offsets
@@ -115,6 +117,23 @@ def test_adam_rejects_non_finite_gradient():
     grads["out_proj.b"] = np.array([np.nan, 0.0])
     with pytest.raises(DivergenceError):
         adam_step(params, grads, AdamState(params), TrainConfig(epochs=1))
+
+
+def test_in_place_adam_is_bit_equal_to_textbook_update():
+    cfg = TrainConfig(epochs=1, learning_rate=3e-3, beta1=0.85, beta2=0.97, eps=1e-8)
+    fast, slow = small_params(), small_params()
+    fast_state, slow_state = AdamState(fast), AdamState(slow)
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        grads = {n: rng.normal(scale=rng.uniform(1e-4, 10.0), size=a.shape)
+                 for n, a in fast.arrays().items()}
+        adam_step(fast, {n: g.copy() for n, g in grads.items()}, fast_state, cfg)
+        reference_adam_step(slow, grads, slow_state, cfg)
+    assert fast_state.tau == slow_state.tau == 6
+    for name in fast.names():
+        assert np.array_equal(fast[name].data, slow[name].data), name
+        assert np.array_equal(fast_state.m[name], slow_state.m[name]), name
+        assert np.array_equal(fast_state.v[name], slow_state.v[name]), name
 
 
 # --------------------------------------------------------------- train
@@ -242,3 +261,94 @@ def test_doubling_loss_scale_doubles_gradients():
         a, b = base[tensor], doubled[tensor]
         denom = np.maximum(np.abs(b), 1e-12)
         assert np.max(np.abs(2 * a - b) / denom) < 1e-10
+
+
+# ------------------------------------------- batched tape vs per-window loop
+
+DESK = ModelConfig(feature_dim=12, d_model=32, n_heads=2, n_layers=2, d_ff=128)
+SHAPES = {"desk": (9, 20), "paper_windows": (29, 50)}
+
+
+def random_windows(n, src_len, kappa, seed, feature_dim=12):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, src_len, feature_dim)),
+            rng.normal(scale=0.2, size=(n, kappa, 2)))
+
+
+def per_window_mean_gradient(params, features, targets):
+    grads = [backward(l2_loss(teacher_forced_offsets(params, f, t), t))
+             for f, t in zip(features, targets)]
+    return {name: np.mean([g[tensor] for g in grads], axis=0)
+            for name, tensor in params.tensors.items()}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_batched_loss_and_gradient_equal_per_window_mean(shape):
+    features, targets = random_windows(5, *SHAPES[shape], seed=20)
+    params = ModelParams(DESK, seed=21)
+    grads, losses = training._batch_gradients(params, features, targets)
+    per_window = [l2_loss(teacher_forced_offsets(params, f, t), t).item()
+                  for f, t in zip(features, targets)]
+    assert np.max(np.abs(losses - per_window) / np.abs(per_window)) <= 1e-12
+    want = per_window_mean_gradient(params, features, targets)
+    # relative to the largest entry: key biases have a zero gradient up to
+    # rounding (softmax ignores a shift shared by all keys)
+    scale = max(np.max(np.abs(g)) for g in want.values())
+    for name, g in grads.items():
+        assert np.max(np.abs(g - want[name])) / scale <= 1e-12, name
+    assert max(np.max(np.abs(want[n])) for n in want if n.endswith(".bk")) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("clip", [None, 0.05])
+@pytest.mark.parametrize("budget", ["one_chunk", "split"])
+def test_train_loss_curve_matches_per_window_reference(monkeypatch, shape, clip, budget):
+    if budget == "split":  # two windows per tape chunk, so minibatches of 4 split in two
+        src_len, kappa = SHAPES[shape]
+        per_window = training.TRAIN_BUDGET_BYTES // training.train_chunk_size(DESK, src_len, kappa)
+        monkeypatch.setattr(training, "TRAIN_BUDGET_BYTES", 2 * per_window + 1)
+        assert training.train_chunk_size(DESK, src_len, kappa) == 2
+    features, targets = random_windows(11, *SHAPES[shape], seed=22)
+    cfg = TrainConfig(epochs=5, learning_rate=1e-3, batch_size=4, seed=23, grad_clip=clip,
+                      val_fraction=0.2)
+    history, _ = train(ModelParams(DESK, seed=24), features, targets, cfg)
+    want, _ = reference_train(ModelParams(DESK, seed=24), features, targets, cfg)
+    if clip is not None:
+        assert sum(row["clipped_batches"] for row in history) > 0
+    for key in ("train_loss", "val_loss"):
+        got = np.array([row[key] for row in history])
+        ref = np.array([row[key] for row in want])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-9, key
+
+
+def test_epoch_diagnostics():
+    features, targets = constant_velocity_windows()
+    cfg = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=3, seed=2, grad_clip=1e-6,
+                      val_fraction=0.0)
+    history, _ = train(ModelParams(TINY, seed=2), features, targets, cfg)
+    for row in history:
+        assert row["grad_norm"] > 1e-6
+        assert row["clipped_batches"] == 3  # ceil(8 / 3) minibatches, every one clipped
+        assert row["windows_per_s"] == pytest.approx(8 / row["wall_seconds"])
+
+
+def test_dropout_training_is_reproducible_and_differs_from_no_dropout():
+    features, targets = constant_velocity_windows()
+    cfg = TrainConfig(epochs=3, learning_rate=1e-3, batch_size=4, seed=5, val_fraction=0.25)
+
+    def curve(dropout):
+        config = ModelConfig(feature_dim=2, d_model=16, n_heads=2, n_layers=1, d_ff=32,
+                             dropout=dropout)
+        history, _ = train(ModelParams(config, seed=5), features, targets, cfg)
+        return [(row["train_loss"], row["val_loss"]) for row in history]
+
+    with_dropout = curve(0.1)
+    assert with_dropout == curve(0.1)
+    assert with_dropout != curve(0.0)
+
+
+def test_train_rejects_windows_of_different_shapes():
+    features, targets = constant_velocity_windows(n_windows=3)
+    features[1] = features[1][:-1]
+    with pytest.raises(ValueError, match="one shape"):
+        train(ModelParams(TINY, seed=0), features, targets, TrainConfig(epochs=1))
