@@ -28,7 +28,7 @@ print(f"train: {len(train_set)} windows over 3 scenes; "
 
 
 def fit(context):
-    feats = train_set.features if context else train_set.features[:, :, :2]
+    feats = train_set.model_features(context)
     stats = FeatureStats.fit([feats[i] for i in range(len(feats))])
     config = ModelConfig(feature_dim=feats.shape[-1], d_model=32, n_heads=2, n_layers=2)
     params = ModelParams(config, seed=0)
@@ -44,12 +44,12 @@ ctx_params, ctx_stats = fit(context=True)
 print("training the offsets-only ablation ...")
 van_params, van_stats = fit(context=False)
 
-# each predictor decodes every test window in one batched call
-predictors = {
+# each model decodes every test window in one batched call: (N, kappa, 2) positions
+predictions = {
     "context_tf": decode_predictor(ctx_params, ctx_stats, test_set, context=True),
     "vanilla_tf": decode_predictor(van_params, van_stats, test_set, context=False),
 }
-table = evaluate(predictors, test_set.cases(), [1, 2, 3, 4, 5], wcfg.rate_hz,
+table = evaluate(predictions, test_set.fut_m, [1, 2, 3, 4, 5], wcfg.rate_hz,
                  dataset="obstacle_heldout", train_dataset="obstacle_train")
 print()
 print(render_markdown(table))

@@ -13,7 +13,7 @@ import csv
 import fcntl
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +25,11 @@ from .evaluation import cv_kalman_predict, emit_report, evaluate
 from .features import FeatureStats, PolarGridConfig, SemanticConfig
 from .model import Checkpoint, ModelParams, load_checkpoint, save_checkpoint
 from .pipeline import (FeatureSet, build_feature_set, decode_predictor, load_feature_cache,
-                       resample_scene, save_feature_cache)
+                       resample_scene, save_feature_cache, settings_record)
 from .plots import render_window_svg
 from .serialize import atomic_open
 from .synth import SCENARIOS, synth_dataset
-from .training import AdamState, TrainConfig, train
+from .training import AdamState, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,24 +91,13 @@ def _config_from_args(args) -> RunConfig:
     return build_run_config(args.config, args.set or [])
 
 
+def _settings(cfg: RunConfig) -> dict:
+    return settings_record(cfg.window, cfg.grid, cfg.semantic)
+
+
 def _checkpoint_meta(cfg: RunConfig, train_dataset: str, epochs_done: int) -> dict:
-    return {
-        "train_dataset": train_dataset,
-        "epochs_done": epochs_done,
-        "context": cfg.context,
-        "window": {"delta": cfg.window.delta, "kappa": cfg.window.kappa,
-                   "stride": cfg.window.stride, "rate_hz": cfg.window.rate_hz},
-        "grid": asdict(cfg.grid),
-        "semantic": asdict(cfg.semantic),
-    }
-
-
-def _features_for(fset: FeatureSet, context: bool) -> np.ndarray:
-    # offsets occupy the first two feature columns, so the context-off
-    # ablation is a plain slice of the cached full feature blocks
-    if context and not fset.context:
-        raise ConfigError("feature cache was built without context features")
-    return fset.features if context else fset.features[:, :, :2]
+    return {"train_dataset": train_dataset, "epochs_done": epochs_done,
+            "context": cfg.context, **_settings(cfg)}
 
 
 # ------------------------------------------------------------ commands
@@ -160,12 +149,7 @@ def cmd_preprocess(args) -> int:
 
 
 def _cache_matches(meta: dict, cfg: RunConfig) -> bool:
-    return (
-        meta.get("window") == {"delta": cfg.window.delta, "kappa": cfg.window.kappa,
-                               "stride": cfg.window.stride, "rate_hz": cfg.window.rate_hz}
-        and meta.get("grid") == asdict(cfg.grid)
-        and meta.get("semantic") == asdict(cfg.semantic)
-    )
+    return all(meta.get(name) == value for name, value in _settings(cfg).items())
 
 
 def cmd_train(args) -> int:
@@ -179,7 +163,7 @@ def cmd_train(args) -> int:
     if len(fset) == 0:
         raise DataError("feature cache holds no windows")
 
-    features = _features_for(fset, cfg.context)
+    features = fset.model_features(cfg.context)
     targets = fset.target_offsets
     del fset  # only the standardized features are kept for training
     train_dataset = Path(cfg.train_root).name if cfg.train_root else "train"
@@ -204,12 +188,7 @@ def cmd_train(args) -> int:
         if remaining <= 0:
             print(f"nothing to do: {start_epoch} epochs already trained")
             return 0
-        run_cfg = TrainConfig(
-            epochs=remaining, learning_rate=cfg.train.learning_rate, beta1=cfg.train.beta1,
-            beta2=cfg.train.beta2, eps=cfg.train.eps, batch_size=cfg.train.batch_size,
-            seed=cfg.train.seed, grad_clip=cfg.train.grad_clip,
-            val_fraction=cfg.train.val_fraction,
-        )
+        run_cfg = replace(cfg.train, epochs=remaining)
 
         log_path = cfg.out_dir / "train_log.csv"
         mode = "a" if (args.resume and log_path.exists()) else "w"
@@ -245,10 +224,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_cases(cfg: RunConfig, root: str) -> FeatureSet:
-    scenes = [resample_scene(s, cfg.window.rate_hz) for s in load_dataset_root(root, cfg.adapter)]
-    return build_feature_set(scenes, cfg.window, cfg.grid, cfg.semantic, context=True,
-                             resampled=True)
+def _scored_windows(root: str, adapter: str, window: WindowConfig, grid: PolarGridConfig,
+                    semantic: SemanticConfig) -> tuple[list, FeatureSet]:
+    """A root's resampled scenes and all their windows, with full features."""
+    scenes = [resample_scene(s, window.rate_hz) for s in load_dataset_root(root, adapter)]
+    fset = build_feature_set(scenes, window, grid, semantic, context=True, resampled=True)
+    if len(fset) == 0:
+        raise DataError(f"no windows in {root}")
+    return scenes, fset
 
 
 def cmd_evaluate(args) -> int:
@@ -266,11 +249,8 @@ def cmd_evaluate(args) -> int:
     if not Path(test_root).is_dir():
         raise ConfigError(f"test dataset root {test_root!r} does not exist")
 
-    predictors = {}
     checkpoints = {}  # method -> (checkpoint, context); decoded once the test set is built
     train_dataset = None
-    if "oracle" in methods:
-        predictors["oracle"] = lambda case: case.fut_m.copy()
     if "context_tf" in methods:
         if not args.checkpoint:
             raise ConfigError("method context_tf needs --checkpoint")
@@ -289,22 +269,21 @@ def cmd_evaluate(args) -> int:
         _require_window_match(vckpt, cfg)
         train_dataset = train_dataset or vckpt.meta.get("train_dataset")
         checkpoints["vanilla_tf"] = (vckpt, False)
-    if "cv_kalman" in methods:
-        dt = 1.0 / cfg.window.rate_hz
-        predictors["cv_kalman"] = lambda case: cv_kalman_predict(
-            case.obs_m, len(case.fut_m), dt,
-            cfg.kalman_process_noise, cfg.kalman_measurement_noise)
     if not methods:
         raise ConfigError("no methods requested")
 
     with _OutputLock(cfg.out_dir):
-        fset = _load_eval_cases(cfg, test_root)
-        if len(fset) == 0:
-            raise DataError(f"no evaluation windows in {test_root}")
-        for method, (ckpt, context) in checkpoints.items():
-            predictors[method] = decode_predictor(ckpt.params, ckpt.stats, fset, context)
+        _, fset = _scored_windows(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)
+        predictions = {method: decode_predictor(ckpt.params, ckpt.stats, fset, context)
+                       for method, (ckpt, context) in checkpoints.items()}
+        if "oracle" in methods:
+            predictions["oracle"] = fset.fut_m
+        if "cv_kalman" in methods:
+            predictions["cv_kalman"] = cv_kalman_predict(
+                fset.obs_m, cfg.window.kappa, 1.0 / cfg.window.rate_hz,
+                cfg.kalman_process_noise, cfg.kalman_measurement_noise)
         table = evaluate(
-            predictors, fset.cases(), cfg.horizons_s, cfg.window.rate_hz,
+            predictions, fset.fut_m, cfg.horizons_s, cfg.window.rate_hz,
             dataset=Path(test_root).name, train_dataset=train_dataset,
             allow_same_dataset=args.allow_same_dataset,
             at_horizon=cfg.at_horizon, pooled_rmse=cfg.pooled_rmse,
@@ -318,8 +297,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _require_window_match(ckpt: Checkpoint, cfg: RunConfig) -> None:
-    if ckpt.meta.get("window") != {"delta": cfg.window.delta, "kappa": cfg.window.kappa,
-                                   "stride": cfg.window.stride, "rate_hz": cfg.window.rate_hz}:
+    if ckpt.meta.get("window") != _settings(cfg)["window"]:
         raise ConfigError("checkpoint window settings do not match the run config")
 
 
@@ -335,13 +313,9 @@ def cmd_predict(args) -> int:
     out_dir = Path(args.out)
 
     with _OutputLock(out_dir):
-        scenes = [resample_scene(s, window.rate_hz)
-                  for s in load_dataset_root(args.root, args.adapter)]
-        fset = build_feature_set(scenes, window, grid, semantic, context=True, resampled=True)
-        if len(fset) == 0:
-            raise DataError(f"no windows in {args.root}")
+        scenes, fset = _scored_windows(args.root, args.adapter, window, grid, semantic)
         maps_by_scene = {s.scene_map.scene_id: s.scene_map for s in scenes}
-        predictor = decode_predictor(ckpt.params, ckpt.stats, fset, context)
+        preds = decode_predictor(ckpt.params, ckpt.stats, fset, context)
 
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_path = out_dir / "predictions.csv"
@@ -349,20 +323,18 @@ def cmd_predict(args) -> int:
             writer = csv.writer(f)
             writer.writerow(["scene_id", "ego_id", "start_index", "step",
                              "pred_x_m", "pred_y_m", "gt_x_m", "gt_y_m"])
-            for case in fset.cases():
-                pred = predictor(case)
+            for i, (scene_id, ego_id, start) in enumerate(fset.keys):
+                pred, fut = preds[i], fset.fut_m[i]
                 for step in range(len(pred)):
-                    writer.writerow([case.scene_id, case.ego_id, case.start_index, step + 1,
+                    writer.writerow([scene_id, ego_id, start, step + 1,
                                      repr(float(pred[step, 0])), repr(float(pred[step, 1])),
-                                     repr(float(case.fut_m[step, 0])),
-                                     repr(float(case.fut_m[step, 1]))])
+                                     repr(float(fut[step, 0])), repr(float(fut[step, 1]))])
                 if args.plot:
-                    scene_map = maps_by_scene[case.scene_id]
-                    svg = render_window_svg(
-                        scene_map, case.obs_m, pred, case.fut_m,
-                        title=f"{case.scene_id} {case.ego_id} @{case.start_index}")
-                    name = f"{case.scene_id}_{case.ego_id}_{case.start_index}.svg"
-                    (out_dir / name).write_text(svg, encoding="utf-8")
+                    svg = render_window_svg(maps_by_scene[scene_id], fset.obs_m[i], pred, fut,
+                                            title=f"{scene_id} {ego_id} @{start}")
+                    with atomic_open(out_dir / f"{scene_id}_{ego_id}_{start}.svg", "w",
+                                     encoding="utf-8") as svg_file:
+                        svg_file.write(svg)
         print(f"wrote {dump_path}" + (" and SVG plots" if args.plot else ""))
     return 0
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .maps import SceneMap, load_scene_map
+from .serialize import atomic_open
 
 AGENT_TYPES = ("pedestrian", "vehicle", "cyclist")
 
@@ -215,8 +216,9 @@ def _check_header(path, adapter: str, header: list[str]) -> None:
 
 
 def write_tracks(path, tracks: list[AgentTrack], scene_id: str) -> None:
-    """Write canonical CSV; floats use shortest round-trip formatting."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    """Write canonical CSV; floats use shortest round-trip formatting. The
+    file is replaced atomically, so a failure leaves the previous one."""
+    with atomic_open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CANONICAL_HEADER)
         for track in tracks:

@@ -1,10 +1,11 @@
 """Displacement metrics, the cross-dataset protocol and the CV-Kalman baseline.
 
-ADE(h) and RMSE(h) aggregate over all steps up to horizon h (cumulative),
-with the single-step-at-h variant behind ``at_horizon``. Across windows ADE
-is the unweighted mean of per-window ADEs; RMSE pools squared errors over
-all windows and steps by default (``pooled=False`` averages per-window
-RMSEs instead).
+Predictions are plain (N, kappa, 2) arrays of absolute positions, aligned
+row for row with the ground truth. ADE(h) and RMSE(h) aggregate over all
+steps up to horizon h (cumulative), with the single-step-at-h variant
+behind ``at_horizon``. Across windows ADE is the unweighted mean of
+per-window ADEs; RMSE pools squared errors over all windows and steps by
+default (``pooled=False`` averages per-window RMSEs instead).
 """
 
 from __future__ import annotations
@@ -17,31 +18,34 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .serialize import atomic_open
 
-METHODS = ("context_tf", "vanilla_tf", "cv_kalman")
 
-
-def _check_pair(pred, gt, upto_step):
+def _error(pred, gt, upto_step: int) -> np.ndarray:
+    """pred - gt over steps 1..upto_step of (..., n, 2) tracks."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 2:
-        raise ValueError(f"metric shapes differ or are not (n, 2): {pred.shape} vs {gt.shape}")
-    if not 1 <= upto_step <= len(pred):
-        raise ValueError(f"upto_step {upto_step} outside 1..{len(pred)}")
-    return pred, gt
+    if pred.shape != gt.shape or pred.ndim < 2 or pred.shape[-1] != 2:
+        raise ValueError(f"metric shapes differ or are not (..., n, 2): {pred.shape} vs {gt.shape}")
+    if not 1 <= upto_step <= pred.shape[-2]:
+        raise ValueError(f"upto_step {upto_step} outside 1..{pred.shape[-2]}")
+    return pred[..., :upto_step, :] - gt[..., :upto_step, :]
 
 
-def ade(pred, gt, upto_step: int) -> float:
-    """Mean euclidean distance over steps 1..upto_step."""
-    pred, gt = _check_pair(pred, gt, upto_step)
-    d = np.linalg.norm(pred[:upto_step] - gt[:upto_step], axis=1)
-    return float(d.mean())
+def _per_track(values):
+    return float(values) if np.ndim(values) == 0 else values
 
 
-def rmse(pred, gt, upto_step: int) -> float:
-    """Root of the mean squared euclidean distance over steps 1..upto_step."""
-    pred, gt = _check_pair(pred, gt, upto_step)
-    d2 = np.sum((pred[:upto_step] - gt[:upto_step]) ** 2, axis=1)
-    return float(np.sqrt(d2.mean()))
+def ade(pred, gt, upto_step: int):
+    """Mean euclidean distance over steps 1..upto_step of each (n, 2) track
+    in (..., n, 2): a float for one track, an array for a stack."""
+    d = np.linalg.norm(_error(pred, gt, upto_step), axis=-1)
+    return _per_track(d.mean(axis=-1))
+
+
+def rmse(pred, gt, upto_step: int):
+    """Root of the mean squared euclidean distance over steps 1..upto_step,
+    per track like ``ade``."""
+    d2 = np.sum(_error(pred, gt, upto_step) ** 2, axis=-1)
+    return _per_track(np.sqrt(d2.mean(axis=-1)))
 
 
 @dataclass
@@ -69,8 +73,8 @@ class MetricsTable:
 
 
 def evaluate(
-    predictors: dict,
-    cases: list,
+    predictions: dict[str, np.ndarray],
+    fut_m: np.ndarray,
     horizons_s: list[float],
     rate_hz: float,
     dataset: str,
@@ -79,22 +83,21 @@ def evaluate(
     at_horizon: bool = False,
     pooled_rmse: bool = True,
 ) -> MetricsTable:
-    """Score every predictor over every window at every horizon.
+    """Score every method over every window at every horizon.
 
-    ``predictors`` maps method name to a callable taking one case and
-    returning (kappa, 2) absolute positions; a case only needs ``fut_m``
-    ground truth (the pipeline's cases carry features, observed track and
-    scene for the predictors' benefit). Train/test dataset names enforce
-    the held-out protocol unless explicitly waived.
+    ``predictions`` maps method name to its (N, kappa, 2) absolute positions,
+    row i forecasting the ground truth ``fut_m[i]``. Train/test dataset
+    names enforce the held-out protocol unless explicitly waived.
     """
-    if not cases:
+    fut_m = np.asarray(fut_m, dtype=np.float64)
+    if len(fut_m) == 0:
         raise DataError(f"no evaluation windows for dataset {dataset!r}")
     if train_dataset is not None and train_dataset == dataset and not allow_same_dataset:
         raise ConfigError(
             f"model was trained on {train_dataset!r}; evaluating on the same dataset "
             "requires allow_same_dataset"
         )
-    kappa = len(cases[0].fut_m)
+    kappa = fut_m.shape[1]
     steps = []
     for h in horizons_s:
         s = int(round(h * rate_hz))
@@ -103,37 +106,27 @@ def evaluate(
         steps.append(s)
 
     table = MetricsTable()
-    for method in sorted(predictors):
-        preds = [np.asarray(predictors[method](case), dtype=np.float64) for case in cases]
+    n = len(fut_m)
+    for method in sorted(predictions):
+        pred = np.asarray(predictions[method], dtype=np.float64)
         for h, s in zip(horizons_s, steps):
-            ades, rmses, sq = [], [], []
-            for case, pred in zip(cases, preds):
-                gt = case.fut_m
-                if at_horizon:
-                    err = pred[s - 1] - gt[s - 1]
-                    dist = float(np.linalg.norm(err))
-                    ades.append(dist)
-                    rmses.append(dist)
-                    sq.append(float(err @ err))
-                else:
-                    ades.append(ade(pred, gt, s))
-                    rmses.append(rmse(pred, gt, s))
-                    sq.append(float(np.sum((pred[:s] - gt[:s]) ** 2)) / s)
-            ade_val = float(np.mean(sorted(ades)))
-            rmse_val = float(np.sqrt(np.mean(sorted(sq)))) if pooled_rmse else float(np.mean(sorted(rmses)))
-            table.rows.append(MetricsRow(dataset, method, float(h), ade_val, rmse_val, len(cases)))
+            if at_horizon:  # the single step s, scored as a one-step track
+                p, g, upto = pred[:, s - 1 : s], fut_m[:, s - 1 : s], 1
+            else:
+                p, g, upto = pred, fut_m, s
+            # per-window values are sorted so the means do not depend on window order
+            ade_val = float(np.mean(np.sort(ade(p, g, upto))))
+            if pooled_rmse:
+                # each window's squared error, summed over steps and axes in one pass
+                sq = (_error(p, g, upto) ** 2).reshape(n, -1).sum(axis=1) / upto
+                rmse_val = float(np.sqrt(np.mean(np.sort(sq))))
+            else:
+                rmse_val = float(np.mean(np.sort(rmse(p, g, upto))))
+            table.rows.append(MetricsRow(dataset, method, float(h), ade_val, rmse_val, n))
     return table
 
 
 # ----------------------------------------------------------- CV Kalman
-
-@dataclass
-class CvKalmanState:
-    state: np.ndarray        # (4,) x, y, vx, vy
-    covariance: np.ndarray   # (4, 4)
-    process_noise: float = 0.5       # white acceleration, m/s^2
-    measurement_noise: float = 0.1   # position noise, m
-
 
 def _cv_matrices(dt: float, q: float):
     f = np.array([[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.float64)
@@ -145,40 +138,28 @@ def _cv_matrices(dt: float, q: float):
     return f, qmat
 
 
-class CvKalman:
-    """Constant-velocity Kalman filter over 2-D position measurements."""
+def cv_kalman_gains(dt: float, n_updates: int, process_noise: float = 0.5,
+                    measurement_noise: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (n_updates, 4, 2) and posterior covariances (n_updates, 4, 4) of
+    the constant-velocity filter, one per measurement update.
 
-    def __init__(self, dt: float, process_noise: float = 0.5, measurement_noise: float = 0.1):
-        self.dt = dt
-        self.f, self.q = _cv_matrices(dt, process_noise)
-        self.h = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.float64)
-        self.r = measurement_noise**2 * np.eye(2)
-        self.process_noise = process_noise
-        self.measurement_noise = measurement_noise
-        self.kf: CvKalmanState | None = None
-
-    def initialize(self, z0: np.ndarray, z1: np.ndarray) -> None:
-        """Seed position from the second fix, velocity from the first difference."""
-        v = (np.asarray(z1) - np.asarray(z0)) / self.dt
-        state = np.array([z1[0], z1[1], v[0], v[1]], dtype=np.float64)
-        r = self.measurement_noise**2
-        cov = np.diag([r, r, 2 * r / self.dt**2, 2 * r / self.dt**2])
-        self.kf = CvKalmanState(state, cov, self.process_noise, self.measurement_noise)
-
-    def predict_step(self) -> None:
-        kf = self.kf
-        kf.state = self.f @ kf.state
-        kf.covariance = self.f @ kf.covariance @ self.f.T + self.q
-        kf.covariance = 0.5 * (kf.covariance + kf.covariance.T)
-
-    def update(self, z: np.ndarray) -> None:
-        kf = self.kf
-        innovation = np.asarray(z, dtype=np.float64) - self.h @ kf.state
-        s = self.h @ kf.covariance @ self.h.T + self.r
-        gain = kf.covariance @ self.h.T @ np.linalg.inv(s)
-        kf.state = kf.state + gain @ innovation
-        kf.covariance = (np.eye(4) - gain @ self.h) @ kf.covariance
-        kf.covariance = 0.5 * (kf.covariance + kf.covariance.T)
+    The state is (x, y, vx, vy), seeded with position variance r and
+    velocity variance 2r/dt^2 (r = measurement_noise^2). Neither sequence
+    depends on the measurements, so every track of a batch shares them.
+    """
+    f, q = _cv_matrices(dt, process_noise)
+    h = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.float64)
+    r = measurement_noise**2
+    cov = np.diag([r, r, 2 * r / dt**2, 2 * r / dt**2])
+    gains, covs = np.empty((n_updates, 4, 2)), np.empty((n_updates, 4, 4))
+    for i in range(n_updates):
+        cov = f @ cov @ f.T + q
+        cov = 0.5 * (cov + cov.T)
+        s = h @ cov @ h.T + r * np.eye(2)
+        gains[i] = cov @ h.T @ np.linalg.inv(s)
+        cov = (np.eye(4) - gains[i] @ h) @ cov
+        covs[i] = cov = 0.5 * (cov + cov.T)
+    return gains, covs
 
 
 def cv_kalman_predict(
@@ -188,22 +169,35 @@ def cv_kalman_predict(
     process_noise: float = 0.5,
     measurement_noise: float = 0.1,
 ) -> np.ndarray:
-    """Filter the observed track, then roll the CV model kappa steps ahead."""
+    """Filter each observed (..., n, 2) track, then roll the CV model kappa
+    steps ahead: (..., kappa, 2).
+
+    Each track seeds its position from the second fix and its velocity from
+    the first difference. All tracks share one gain sequence
+    (``cv_kalman_gains``), so the per-track work is the state update. The
+    states are (N, 4, 1) columns: each product is the matrix-vector product
+    a single-track call computes, so stacking tracks changes no bits.
+    """
     observed = np.asarray(observed, dtype=np.float64)
-    if len(observed) < 2:
-        raise ValueError(f"cv_kalman_predict needs >= 2 observations, got {len(observed)}")
+    if observed.ndim < 2 or observed.shape[-1] != 2:
+        raise ValueError(f"cv_kalman_predict needs (..., n, 2) observations, got {observed.shape}")
+    n = observed.shape[-2]
+    if n < 2:
+        raise ValueError(f"cv_kalman_predict needs >= 2 observations, got {n}")
     if not np.all(np.isfinite(observed)):
         raise ValueError("cv_kalman_predict: observations contain non-finite values")
-    filt = CvKalman(dt, process_noise, measurement_noise)
-    filt.initialize(observed[0], observed[1])
-    for z in observed[2:]:
-        filt.predict_step()
-        filt.update(z)
-    out = np.empty((kappa, 2))
+    tracks = observed.reshape(-1, n, 2, 1)
+    f = _cv_matrices(dt, process_noise)[0]
+    gains, _ = cv_kalman_gains(dt, n - 2, process_noise, measurement_noise)
+    state = np.concatenate([tracks[:, 1], (tracks[:, 1] - tracks[:, 0]) / dt], axis=1)
+    for i, gain in enumerate(gains):
+        state = f @ state
+        state = state + gain @ (tracks[:, i + 2] - state[:, :2])
+    out = np.empty((len(tracks), kappa, 2))
     for i in range(kappa):
-        filt.predict_step()
-        out[i] = filt.kf.state[:2]
-    return out
+        state = f @ state
+        out[:, i] = state[:, :2, 0]
+    return out.reshape(observed.shape[:-2] + (kappa, 2))
 
 
 # ------------------------------------------------------------- reports

@@ -63,10 +63,6 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-def paper_scale_config(feature_dim: int) -> ModelConfig:
-    return ModelConfig(feature_dim=feature_dim, d_model=512, n_heads=8, n_layers=6)
-
-
 def _attention_param_names(prefix: str):
     for p in ("wq", "wk", "wv", "wo"):
         yield f"{prefix}.{p}"

@@ -5,40 +5,33 @@ of 1/rate) so windows and their neighbors line up in time. Features are
 built once per (agent, timestep) over each track's observed span, and each
 window's block is a slice of that array. Feature blocks are cached in the
 binary bundle format keyed by (scene_id, ego_id, window start); reruns
-over unchanged inputs produce byte-identical caches.
+over unchanged inputs produce byte-identical caches. ``decode_predictor``
+turns a feature set into the (N, kappa, 2) position array that evaluation
+scores and ``predict`` writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import AgentTrack, Scene, TrajectoryWindow, WindowConfig, extract_windows, resample
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import (FeatureStats, PolarGridConfig, SemanticConfig, build_features,
                        compute_offsets, feature_dim)
 from .model import ModelParams, predict_autoregressive
 from .serialize import load_bundle, save_bundle
 
 CACHE_VERSION = 1
-
-
-@dataclass
-class PredictionCase:
-    """Everything the predictors need for one evaluation window."""
-    scene_id: str
-    ego_id: str
-    start_index: int
-    obs_m: np.ndarray       # (delta, 2)
-    fut_m: np.ndarray       # (kappa, 2)
-    last_obs_m: np.ndarray  # (2,)
-    features: np.ndarray    # (delta-1, F) raw (unstandardized)
+# the FeatureSet arrays a feature cache stores, under the same names
+CACHE_ARRAYS = ("features", "target_offsets", "last_obs_m", "obs_m", "fut_m")
 
 
 @dataclass
 class FeatureSet:
-    """Parallel arrays for a whole dataset root."""
+    """Parallel arrays for a whole dataset root: row i of each array, and of
+    every (N, kappa, 2) prediction scored against ``fut_m``, is window ``keys[i]``."""
     keys: list[tuple[str, str, int]]     # (scene_id, ego_id, start_index)
     features: np.ndarray                 # (N, delta-1, F)
     target_offsets: np.ndarray           # (N, kappa, 2)
@@ -50,12 +43,12 @@ class FeatureSet:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def cases(self) -> list[PredictionCase]:
-        return [
-            PredictionCase(sid, eid, start, self.obs_m[i], self.fut_m[i],
-                           self.last_obs_m[i], self.features[i])
-            for i, (sid, eid, start) in enumerate(self.keys)
-        ]
+    def model_features(self, context: bool) -> np.ndarray:
+        """The model's (N, delta-1, F) inputs; offsets occupy the first two
+        columns, so the context-off ablation is a slice of the full blocks."""
+        if context and not self.context:
+            raise ConfigError("feature set was built without context features")
+        return self.features if context else self.features[:, :, :2]
 
 
 def resample_scene(scene: Scene, rate_hz: float) -> Scene:
@@ -116,17 +109,21 @@ def build_feature_set(
     return FeatureSet(keys, features, targets, last, obs, fut, context)
 
 
-def decode_predictor(params: ModelParams, stats: FeatureStats, fset: FeatureSet, context: bool):
-    """Per-case predictor for ``evaluation.evaluate`` backed by one batched
-    decode of every window in ``fset``; context off keeps the offset columns."""
-    features = fset.features if context else fset.features[:, :, :2]
-    preds = predict_autoregressive(params, stats.apply(features), fset.last_obs_m,
-                                   fset.fut_m.shape[1])
-    rows = {key: i for i, key in enumerate(fset.keys)}
-    return lambda case: preds[rows[(case.scene_id, case.ego_id, case.start_index)]]
+def decode_predictor(params: ModelParams, stats: FeatureStats, fset: FeatureSet,
+                     context: bool) -> np.ndarray:
+    """(N, kappa, 2) absolute positions, row i forecasting window ``fset.keys[i]``,
+    from one batched decode of every window in ``fset``."""
+    return predict_autoregressive(params, stats.apply(fset.model_features(context)),
+                                  fset.last_obs_m, fset.fut_m.shape[1])
 
 
 # --------------------------------------------------------------- cache
+
+def settings_record(wcfg: WindowConfig, pg: PolarGridConfig, sc: SemanticConfig) -> dict:
+    """The window, grid and semantic settings as feature caches and
+    checkpoints record them, and as runs are matched against them."""
+    return {"window": asdict(wcfg), "grid": asdict(pg), "semantic": asdict(sc)}
+
 
 def save_feature_cache(path, fset: FeatureSet, wcfg: WindowConfig, pg: PolarGridConfig,
                        sc: SemanticConfig) -> None:
@@ -135,37 +132,19 @@ def save_feature_cache(path, fset: FeatureSet, wcfg: WindowConfig, pg: PolarGrid
         "cache_version": CACHE_VERSION,
         "context": fset.context,
         "keys": [[sid, eid, start] for sid, eid, start in fset.keys],
-        "window": {"delta": wcfg.delta, "kappa": wcfg.kappa, "stride": wcfg.stride,
-                   "rate_hz": wcfg.rate_hz},
-        "grid": {"threshold_px": pg.threshold_px, "radial_bins": pg.radial_bins,
-                 "angular_bins": pg.angular_bins, "type_channels": pg.type_channels},
-        "semantic": {"k": sc.k, "d_max_px": sc.d_max_px},
+        **settings_record(wcfg, pg, sc),
     }
-    arrays = {
-        "features": fset.features,
-        "target_offsets": fset.target_offsets,
-        "last_obs_m": fset.last_obs_m,
-        "obs_m": fset.obs_m,
-        "fut_m": fset.fut_m,
-    }
-    save_bundle(path, arrays, meta)
+    save_bundle(path, {name: getattr(fset, name) for name in CACHE_ARRAYS}, meta)
 
 
 def load_feature_cache(path) -> tuple[FeatureSet, dict]:
     arrays, meta = load_bundle(path)
     if meta.get("kind") != "feature_cache":
         raise DataError(f"{path}: not a feature cache")
-    missing = ([n for n in ("features", "target_offsets", "last_obs_m", "obs_m", "fut_m")
-                if n not in arrays] + [n for n in ("keys", "context") if n not in meta])
+    missing = ([n for n in CACHE_ARRAYS if n not in arrays]
+               + [n for n in ("keys", "context") if n not in meta])
     if missing:
         raise DataError(f"{path}: feature cache lacks {', '.join(missing)}")
-    fset = FeatureSet(
-        keys=[(k[0], k[1], int(k[2])) for k in meta["keys"]],
-        features=arrays["features"],
-        target_offsets=arrays["target_offsets"],
-        last_obs_m=arrays["last_obs_m"],
-        obs_m=arrays["obs_m"],
-        fut_m=arrays["fut_m"],
-        context=bool(meta["context"]),
-    )
+    fset = FeatureSet(keys=[(k[0], k[1], int(k[2])) for k in meta["keys"]],
+                      context=bool(meta["context"]), **{n: arrays[n] for n in CACHE_ARRAYS})
     return fset, meta

@@ -288,12 +288,13 @@ def test_report_table_shape_capability(tmp_path):
     for train_name, test_name in (("synthA", "synthB"), ("synthB", "synthA")):
         ctx_params, ctx_stats, _, _ = train_model(sets[train_name], True, 0, epochs=3)
         van_params, van_stats, _, _ = train_model(sets[train_name], False, 0, epochs=3)
-        predictors = {
-            "context_tf": decode_predictor(ctx_params, ctx_stats, sets[test_name], True),
-            "vanilla_tf": decode_predictor(van_params, van_stats, sets[test_name], False),
-            "cv_kalman": lambda c: cv_kalman_predict(c.obs_m, len(c.fut_m), 0.1),
+        test = sets[test_name]
+        predictions = {
+            "context_tf": decode_predictor(ctx_params, ctx_stats, test, True),
+            "vanilla_tf": decode_predictor(van_params, van_stats, test, False),
+            "cv_kalman": cv_kalman_predict(test.obs_m, wcfg.kappa, 0.1),
         }
-        table = evaluate(predictors, sets[test_name].cases(), horizons, wcfg.rate_hz,
+        table = evaluate(predictions, test.fut_m, horizons, wcfg.rate_hz,
                          dataset=test_name, train_dataset=train_name)
         merged.rows.extend(table.rows)
     assert len(merged.rows) == 2 * 3 * 5

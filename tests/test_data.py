@@ -147,6 +147,18 @@ def test_canonical_roundtrip(tmp_path):
     assert np.array_equal(tracks[0].xy_px, tracks2[0].xy_px)
 
 
+def test_write_tracks_failure_keeps_previous_file(tmp_path):
+    good = AgentTrack("a", "pedestrian", np.arange(3) * 0.1, np.ones((3, 2)), np.ones((3, 2)) * 10)
+    no_px = AgentTrack("b", "pedestrian", np.arange(3) * 0.1, np.ones((3, 2)), None)
+    path = tmp_path / "tracks.csv"
+    write_tracks(path, [good], "s0")
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="pixel coordinates"):
+        write_tracks(path, [good, no_px], "s1")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tracks.csv"]
+
+
 # ----------------------------------------------------------- resampling
 
 def test_resample_integer_decimation():

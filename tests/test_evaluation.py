@@ -3,16 +3,9 @@ import pytest
 from oracle_helpers import textbook_kalman
 
 from trajformer.errors import ConfigError, DataError
-from trajformer.evaluation import (CvKalman, MetricsRow, MetricsTable, ade, cv_kalman_predict,
-                                   emit_report, evaluate, load_report, render_markdown, rmse)
-
-
-class Case:
-    def __init__(self, obs_m, fut_m):
-        self.obs_m = np.asarray(obs_m, dtype=float)
-        self.fut_m = np.asarray(fut_m, dtype=float)
-        self.last_obs_m = self.obs_m[-1]
-        self.features = None
+from trajformer.evaluation import (MetricsRow, MetricsTable, ade, cv_kalman_gains,
+                                   cv_kalman_predict, emit_report, evaluate, load_report,
+                                   render_markdown, rmse)
 
 
 # -------------------------------------------------------------- metrics
@@ -67,79 +60,132 @@ def test_metric_shape_validation():
         ade(np.zeros((3, 2)), np.zeros((4, 2)), 2)
     with pytest.raises(ValueError):
         rmse(np.zeros((3, 2)), np.zeros((3, 2)), 4)
+    with pytest.raises(ValueError):
+        ade(np.zeros((5, 3, 2)), np.zeros((4, 3, 2)), 2)
+    with pytest.raises(ValueError):
+        rmse(np.zeros(6), np.zeros(6), 1)
+
+
+def test_metrics_on_stacks_equal_per_track_calls():
+    rng = np.random.default_rng(9)
+    pred, gt = rng.normal(size=(4, 3, 11, 2)), rng.normal(size=(4, 3, 11, 2))
+    for upto in (1, 6, 11):
+        for metric in (ade, rmse):
+            stacked = metric(pred, gt, upto)
+            assert stacked.shape == (4, 3)
+            for idx in np.ndindex(4, 3):
+                single = metric(pred[idx], gt[idx], upto)
+                assert type(single) is float and stacked[idx] == single
 
 
 # ------------------------------------------------------------- evaluate
 
-def linear_cases(n=6, delta=8, kappa=20, rate=10.0):
-    cases = []
+def linear_windows(n=6, delta=8, kappa=20, rate=10.0):
+    """(obs, fut): (n, delta, 2) and (n, kappa, 2) constant-velocity tracks."""
     rng = np.random.default_rng(4)
-    for _ in range(n):
-        v = rng.uniform(-1.5, 1.5, size=2)
-        start = rng.uniform(-5, 5, size=2)
-        t = np.arange(delta + kappa) / rate
-        xy = start + v * t[:, None]
-        cases.append(Case(xy[:delta], xy[delta:]))
-    return cases
+    v = rng.uniform(-1.5, 1.5, size=(n, 1, 2))
+    start = rng.uniform(-5, 5, size=(n, 1, 2))
+    xy = start + v * (np.arange(delta + kappa) / rate)[:, None]
+    return xy[:, :delta], xy[:, delta:]
 
 
 def test_evaluate_perfect_oracle_all_zero():
-    cases = linear_cases()
-    table = evaluate({"oracle": lambda c: c.fut_m.copy()}, cases, [1.0, 2.0], 10.0, "dsB",
-                     train_dataset="dsA")
+    _, fut = linear_windows()
+    table = evaluate({"oracle": fut.copy()}, fut, [1.0, 2.0], 10.0, "dsB", train_dataset="dsA")
     assert len(table.rows) == 2
     for row in table.rows:
         assert row.ade_m == 0.0 and row.rmse_m == 0.0
-        assert row.n_windows == len(cases)
+        assert row.n_windows == len(fut)
 
 
 def test_evaluate_table_shape_methods_by_horizons():
-    cases = linear_cases()
-    predictors = {
-        "m1": lambda c: c.fut_m + 0.1,
-        "m2": lambda c: c.fut_m - 0.2,
-        "m3": lambda c: c.fut_m * 1.01,
-    }
+    _, fut = linear_windows()
+    predictions = {"m1": fut + 0.1, "m2": fut - 0.2, "m3": fut * 1.01}
     horizons = [0.5, 1.0, 1.5, 2.0]
-    table = evaluate(predictors, cases, horizons, 10.0, "dsB")
+    table = evaluate(predictions, fut, horizons, 10.0, "dsB")
     assert len(table.rows) == 3 * 4
     assert {r.method for r in table.rows} == {"m1", "m2", "m3"}
 
 
 def test_evaluate_same_dataset_guard():
-    cases = linear_cases()
+    _, fut = linear_windows()
     with pytest.raises(ConfigError):
-        evaluate({"m": lambda c: c.fut_m}, cases, [1.0], 10.0, "dsA", train_dataset="dsA")
-    table = evaluate({"m": lambda c: c.fut_m}, cases, [1.0], 10.0, "dsA",
+        evaluate({"m": fut}, fut, [1.0], 10.0, "dsA", train_dataset="dsA")
+    table = evaluate({"m": fut}, fut, [1.0], 10.0, "dsA",
                      train_dataset="dsA", allow_same_dataset=True)
     assert len(table.rows) == 1
 
 
 def test_evaluate_empty_and_horizon_validation():
+    empty = np.zeros((0, 20, 2))
     with pytest.raises(DataError):
-        evaluate({"m": lambda c: c.fut_m}, [], [1.0], 10.0, "dsB")
+        evaluate({"m": empty}, empty, [1.0], 10.0, "dsB")
+    _, short = linear_windows(kappa=5)
     with pytest.raises(ConfigError):
-        evaluate({"m": lambda c: c.fut_m}, linear_cases(kappa=5), [1.0], 10.0, "dsB")
+        evaluate({"m": short}, short, [1.0], 10.0, "dsB")
+    _, fut = linear_windows()
+    with pytest.raises(ValueError):
+        evaluate({"m": fut[:-1]}, fut, [1.0], 10.0, "dsB")
 
 
 def test_evaluate_pooled_rmse_at_least_mean_ade():
-    cases = linear_cases(n=10)
-    predictor = {"noisy": lambda c: c.fut_m + np.random.default_rng(5).normal(
-        scale=0.3, size=c.fut_m.shape)}
-    table = evaluate(predictor, cases, [1.0, 2.0], 10.0, "dsB")
+    _, fut = linear_windows(n=10)
+    noisy = fut + np.random.default_rng(5).normal(scale=0.3, size=fut.shape)
+    table = evaluate({"noisy": noisy}, fut, [1.0, 2.0], 10.0, "dsB")
     for row in table.rows:
         assert row.rmse_m >= row.ade_m - 1e-12
 
 
 def test_evaluate_at_horizon_flag():
-    cases = linear_cases(n=3)
+    _, fut = linear_windows(n=3)
     # error grows linearly with step: cumulative ADE < at-horizon distance
-    def drift(c):
-        steps = np.arange(1, len(c.fut_m) + 1)[:, None]
-        return c.fut_m + 0.01 * steps
-    full = evaluate({"d": drift}, cases, [2.0], 10.0, "dsB")
-    at = evaluate({"d": drift}, cases, [2.0], 10.0, "dsB", at_horizon=True)
+    drift = fut + 0.01 * np.arange(1, fut.shape[1] + 1)[:, None]
+    full = evaluate({"d": drift}, fut, [2.0], 10.0, "dsB")
+    at = evaluate({"d": drift}, fut, [2.0], 10.0, "dsB", at_horizon=True)
     assert at.rows[0].ade_m > full.rows[0].ade_m
+
+
+def per_window_loop_rows(preds, fut, steps, at_horizon, pooled_rmse):
+    """(ADE, RMSE) per horizon step, scored one window at a time with
+    explicit per-window formulas."""
+    rows = []
+    for s in steps:
+        ades, rmses, sq = [], [], []
+        for pred, gt in zip(preds, fut):
+            if at_horizon:
+                err = pred[s - 1] - gt[s - 1]
+                dist = float(np.linalg.norm(err))
+                ades.append(dist)
+                rmses.append(dist)
+                sq.append(float(err @ err))
+            else:
+                err = pred[:s] - gt[:s]
+                ades.append(float(np.linalg.norm(err, axis=1).mean()))
+                rmses.append(float(np.sqrt(np.sum(err**2, axis=1).mean())))
+                sq.append(float(np.sum(err**2)) / s)
+        rmse_val = np.sqrt(np.mean(sorted(sq))) if pooled_rmse else np.mean(sorted(rmses))
+        rows.append((float(np.mean(sorted(ades))), float(rmse_val)))
+    return rows
+
+
+@pytest.mark.parametrize("at_horizon", [False, True])
+@pytest.mark.parametrize("pooled_rmse", [True, False])
+def test_evaluate_matches_per_window_loop(at_horizon, pooled_rmse):
+    rng = np.random.default_rng(10)
+    kappa = 50
+    fut = rng.normal(scale=3.0, size=(37, kappa, 2)).cumsum(axis=1)
+    pred = fut + rng.normal(scale=0.4, size=fut.shape).cumsum(axis=1)
+    steps = [1, 2, 3, 4, 5, 7, 8, 9, 10, 16, 17, 20, 33, 50]
+    horizons = [s / 10.0 for s in steps]
+    table = evaluate({"m": pred}, fut, horizons, 10.0, "dsB",
+                     at_horizon=at_horizon, pooled_rmse=pooled_rmse)
+    want = per_window_loop_rows(pred, fut, steps, at_horizon, pooled_rmse)
+    for row, (ade_val, rmse_val) in zip(table.rows, want):
+        if at_horizon:  # the single-step distance: sqrt of a dot product vs a norm
+            assert abs(row.ade_m - ade_val) <= 1e-12 * ade_val
+            assert abs(row.rmse_m - rmse_val) <= 1e-12 * rmse_val
+        else:
+            assert row.ade_m == ade_val and row.rmse_m == rmse_val
 
 
 # -------------------------------------------------------------- kalman
@@ -163,24 +209,29 @@ def test_kalman_stationary_stays_put():
 def test_kalman_matches_textbook_oracle_on_noisy_tracks():
     rng = np.random.default_rng(6)
     dt = 0.1
+    tracks = []
     for _ in range(10):
         t = np.arange(25) * dt
         v = rng.uniform(-2, 2, size=2)
         clean = rng.uniform(-5, 5, size=2) + v * t[:, None]
         observed = clean + rng.normal(scale=0.08, size=clean.shape)
+        tracks.append(observed)
         ours = cv_kalman_predict(observed, 12, dt, 0.5, 0.1)
         ref = textbook_kalman(observed, 12, dt, 0.5, 0.1)
         assert np.max(np.abs(ours - ref)) < 1e-9
+    # all ten in one call: one shared gain sequence, ten states
+    stacked = cv_kalman_predict(np.stack(tracks), 12, dt, 0.5, 0.1)
+    assert stacked.shape == (10, 12, 2)
+    for observed, ours in zip(tracks, stacked):
+        assert np.max(np.abs(ours - textbook_kalman(observed, 12, dt, 0.5, 0.1))) < 1e-9
+        assert np.array_equal(ours, cv_kalman_predict(observed, 12, dt, 0.5, 0.1))
 
 
 def test_kalman_covariance_symmetric_psd_500_steps():
-    rng = np.random.default_rng(7)
-    filt = CvKalman(0.1)
-    filt.initialize(np.zeros(2), np.array([0.1, 0.0]))
-    for step in range(500):
-        filt.predict_step()
-        filt.update(np.array([0.1 * step, 0.0]) + rng.normal(scale=0.1, size=2))
-        P = filt.kf.covariance
+    # the covariance recursion cv_kalman_predict takes its gains from
+    gains, covs = cv_kalman_gains(0.1, 500)
+    assert gains.shape == (500, 4, 2) and covs.shape == (500, 4, 4)
+    for P in covs:
         assert np.max(np.abs(P - P.T)) < 1e-9
         assert np.linalg.eigvalsh(P).min() > -1e-9
 
@@ -192,6 +243,10 @@ def test_kalman_input_validation():
     bad[3, 0] = np.nan
     with pytest.raises(ValueError):
         cv_kalman_predict(bad, 5, 0.1)
+    with pytest.raises(ValueError):
+        cv_kalman_predict(np.zeros((3, 1, 2)), 5, 0.1)
+    with pytest.raises(ValueError):
+        cv_kalman_predict(np.zeros((3, 5, 2))[:, :, 0], 5, 0.1)
 
 
 def test_kalman_error_monotone_in_horizon_on_arcs():

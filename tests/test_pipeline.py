@@ -37,11 +37,11 @@ def test_target_offsets_bridge_and_reconstruct(scenes):
     # first target offset bridges from the last observed position; the
     # cumulative sum of the targets rebuilds the future exactly
     fset = build_feature_set(scenes, WCFG, PG, SC, resampled=True)
-    for i, case in enumerate(fset.cases()):
-        offsets = fset.target_offsets[i]
-        assert np.allclose(offsets[0], case.fut_m[0] - case.obs_m[-1], atol=1e-12)
-        rebuilt = case.last_obs_m + np.cumsum(offsets, axis=0)
-        assert np.max(np.abs(rebuilt - case.fut_m)) < 1e-12
+    offsets = fset.target_offsets
+    assert np.allclose(offsets[:, 0], fset.fut_m[:, 0] - fset.obs_m[:, -1], atol=1e-12)
+    assert np.array_equal(fset.last_obs_m, fset.obs_m[:, -1])
+    rebuilt = fset.last_obs_m[:, None] + np.cumsum(offsets, axis=1)
+    assert np.max(np.abs(rebuilt - fset.fut_m)) < 1e-12
 
 
 def test_cache_roundtrip_and_determinism(tmp_path, scenes):
