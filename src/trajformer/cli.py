@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_run_config
-from .data import WindowConfig, load_dataset_root, write_tracks
+from .data import WindowConfig, write_tracks
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import cv_kalman_predict, emit_report, evaluate
 from .features import FeatureStats, PolarGridConfig, SemanticConfig
 from .model import Checkpoint, ModelParams, load_checkpoint, save_checkpoint
-from .pipeline import (FeatureSet, build_feature_set, decode_predictor, load_feature_cache,
-                       resample_scene, save_feature_cache, settings_record)
+from .pipeline import (decode_predictor, load_feature_cache, load_root, save_feature_cache,
+                       settings_record)
 from .plots import render_window_svg
 from .serialize import atomic_open
 from .synth import SCENARIOS, synth_dataset
@@ -75,18 +75,6 @@ TRAIN_LOG_HEADER = ["epoch", "train_loss", "val_loss", "wall_seconds",
                     "grad_norm", "clipped_batches", "windows_per_s"]
 
 
-def _widen_train_log(path: Path) -> None:
-    """Rewrite a log from before the diagnostics columns under the current
-    header, its missing cells left empty, so resumed rows line up."""
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    if rows and rows[0] != TRAIN_LOG_HEADER:
-        width = len(TRAIN_LOG_HEADER)
-        with atomic_open(path, "w", newline="", encoding="utf-8") as f:
-            csv.writer(f).writerows([TRAIN_LOG_HEADER] + [r + [""] * (width - len(r))
-                                                          for r in rows[1:]])
-
-
 def _config_from_args(args) -> RunConfig:
     return build_run_config(args.config, args.set or [])
 
@@ -113,10 +101,8 @@ def cmd_synth(args) -> int:
 
 
 def _preprocess_root(cfg: RunConfig, root: str, tag: str) -> int:
-    scenes = [resample_scene(s, cfg.window.rate_hz) for s in load_dataset_root(root, cfg.adapter)]
+    scenes, fset = load_root(root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic, cfg.context)
     canon_dir = cfg.out_dir / "canonical" / tag
-    fset = build_feature_set(scenes, cfg.window, cfg.grid, cfg.semantic, cfg.context,
-                             resampled=True)
     counts = {s.scene_map.scene_id: 0 for s in scenes}
     for scene_id, _, _ in fset.keys:
         counts[scene_id] += 1
@@ -180,7 +166,7 @@ def cmd_train(args) -> int:
             if ckpt.adam_moments is not None:
                 state = AdamState.restore(params, *ckpt.adam_moments)
         else:
-            params = ModelParams(cfg.model, seed=cfg.seed)
+            params = ModelParams(cfg.model, seed=cfg.train.seed)
             stats = FeatureStats.fit([features])
         standardized = stats.apply(features)
         del features
@@ -190,48 +176,36 @@ def cmd_train(args) -> int:
             return 0
         run_cfg = replace(cfg.train, epochs=remaining)
 
+        # the whole log is kept here and replaced atomically after each epoch;
+        # a resumed run's earlier rows are widened to the current header
         log_path = cfg.out_dir / "train_log.csv"
-        mode = "a" if (args.resume and log_path.exists()) else "w"
-        if mode == "a":
-            _widen_train_log(log_path)
-        log_file = open(log_path, mode, newline="", encoding="utf-8")
-        log = csv.writer(log_file)
-        if mode == "w":
-            log.writerow(TRAIN_LOG_HEADER)
+        log_rows = [TRAIN_LOG_HEADER]
+        if args.resume and log_path.exists():
+            with open(log_path, newline="", encoding="utf-8") as f:
+                log_rows += [r + [""] * (len(TRAIN_LOG_HEADER) - len(r))
+                             for r in list(csv.reader(f))[1:]]
 
         ckpt_path = cfg.out_dir / "model.ckpt"
 
         def on_epoch(epoch, epoch_params, epoch_state, row):
-            log.writerow([row["epoch"], repr(row["train_loss"]),
-                          "" if np.isnan(row["val_loss"]) else repr(row["val_loss"]),
-                          f"{row['wall_seconds']:.3f}", repr(row["grad_norm"]),
-                          row["clipped_batches"], f"{row['windows_per_s']:.1f}"])
-            log_file.flush()
+            log_rows.append([row["epoch"], repr(row["train_loss"]),
+                             "" if np.isnan(row["val_loss"]) else repr(row["val_loss"]),
+                             f"{row['wall_seconds']:.3f}", repr(row["grad_norm"]),
+                             row["clipped_batches"], f"{row['windows_per_s']:.1f}"])
+            with atomic_open(log_path, "w", newline="", encoding="utf-8") as f:
+                csv.writer(f).writerows(log_rows)
             if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
                 meta = _checkpoint_meta(cfg, train_dataset, epoch + 1)
                 adam = (epoch_state.m, epoch_state.v, epoch_state.tau)
                 save_checkpoint(ckpt_path, epoch_params, stats, meta, adam)
 
-        try:
-            history, state = train(params, standardized, targets, run_cfg,
-                                   state=state, start_epoch=start_epoch, on_epoch=on_epoch)
-        finally:
-            log_file.close()
+        history, state = train(params, standardized, targets, run_cfg,
+                               state=state, start_epoch=start_epoch, on_epoch=on_epoch)
         meta = _checkpoint_meta(cfg, train_dataset, start_epoch + remaining)
         save_checkpoint(ckpt_path, params, stats, meta, (state.m, state.v, state.tau))
         print(f"trained {remaining} epoch(s); final train loss "
               f"{history[-1]['train_loss']:.6f}; checkpoint {ckpt_path}")
     return 0
-
-
-def _scored_windows(root: str, adapter: str, window: WindowConfig, grid: PolarGridConfig,
-                    semantic: SemanticConfig) -> tuple[list, FeatureSet]:
-    """A root's resampled scenes and all their windows, with full features."""
-    scenes = [resample_scene(s, window.rate_hz) for s in load_dataset_root(root, adapter)]
-    fset = build_feature_set(scenes, window, grid, semantic, context=True, resampled=True)
-    if len(fset) == 0:
-        raise DataError(f"no windows in {root}")
-    return scenes, fset
 
 
 def cmd_evaluate(args) -> int:
@@ -251,29 +225,27 @@ def cmd_evaluate(args) -> int:
 
     checkpoints = {}  # method -> (checkpoint, context); decoded once the test set is built
     train_dataset = None
-    if "context_tf" in methods:
-        if not args.checkpoint:
-            raise ConfigError("method context_tf needs --checkpoint")
-        ckpt = load_checkpoint(args.checkpoint, with_adam=False)
-        if not ckpt.meta.get("context"):
-            raise ConfigError("--checkpoint was trained without context features")
+    for method, flag, path, context in (
+            ("context_tf", "--checkpoint", args.checkpoint, True),
+            ("vanilla_tf", "--vanilla-checkpoint", args.vanilla_checkpoint, False)):
+        if method not in methods:
+            continue
+        if not path:
+            raise ConfigError(f"method {method} needs {flag}")
+        ckpt = load_checkpoint(path, with_adam=False)
+        if bool(ckpt.meta.get("context")) != context:
+            raise ConfigError(f"{flag} was trained {'without' if context else 'with'} "
+                              "context features")
         _require_window_match(ckpt, cfg)
-        train_dataset = ckpt.meta.get("train_dataset")
-        checkpoints["context_tf"] = (ckpt, True)
-    if "vanilla_tf" in methods:
-        if not args.vanilla_checkpoint:
-            raise ConfigError("method vanilla_tf needs --vanilla-checkpoint")
-        vckpt = load_checkpoint(args.vanilla_checkpoint, with_adam=False)
-        if vckpt.meta.get("context"):
-            raise ConfigError("--vanilla-checkpoint was trained with context features")
-        _require_window_match(vckpt, cfg)
-        train_dataset = train_dataset or vckpt.meta.get("train_dataset")
-        checkpoints["vanilla_tf"] = (vckpt, False)
+        train_dataset = train_dataset or ckpt.meta.get("train_dataset")
+        checkpoints[method] = (ckpt, context)
     if not methods:
         raise ConfigError("no methods requested")
 
     with _OutputLock(cfg.out_dir):
-        _, fset = _scored_windows(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)
+        _, fset = load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)
+        if len(fset) == 0:
+            raise DataError(f"no windows in {test_root}")
         predictions = {method: decode_predictor(ckpt.params, ckpt.stats, fset, context)
                        for method, (ckpt, context) in checkpoints.items()}
         if "oracle" in methods:
@@ -303,17 +275,21 @@ def _require_window_match(ckpt: Checkpoint, cfg: RunConfig) -> None:
 
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint, with_adam=False)
-    meta = ckpt.meta
-    window = WindowConfig(**meta["window"])
-    grid = PolarGridConfig(**meta["grid"])
-    semantic = SemanticConfig(**meta["semantic"])
-    context = bool(meta.get("context"))
+    try:
+        window, grid, semantic = (cls(**ckpt.meta[name]) for cls, name in (
+            (WindowConfig, "window"), (PolarGridConfig, "grid"), (SemanticConfig, "semantic")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{args.checkpoint}: checkpoint lacks valid window, grid or semantic "
+                        f"settings ({exc!r})") from None
+    context = bool(ckpt.meta.get("context"))
     if not Path(args.root).is_dir():
         raise ConfigError(f"window source {args.root!r} does not exist")
     out_dir = Path(args.out)
 
     with _OutputLock(out_dir):
-        scenes, fset = _scored_windows(args.root, args.adapter, window, grid, semantic)
+        scenes, fset = load_root(args.root, args.adapter, window, grid, semantic)
+        if len(fset) == 0:
+            raise DataError(f"no windows in {args.root}")
         maps_by_scene = {s.scene_map.scene_id: s.scene_map for s in scenes}
         preds = decode_predictor(ckpt.params, ckpt.stats, fset, context)
 

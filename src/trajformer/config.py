@@ -8,17 +8,19 @@ Example file::
     train.epochs = 25
     out_dir = runs/out
 
-Command-line ``--set key=value`` pairs override file values. The full
-config is validated (types, invariants, referenced paths) before any
-command touches the filesystem.
+Command-line ``--set key=value`` pairs override file values. A key of a
+settings section names a field of its dataclass and is parsed by the
+field's declared type. The full config is validated (types, invariants,
+referenced paths) before any command touches the filesystem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
-from .data import WindowConfig
+from .data import WindowConfig, read_key_values
 from .errors import ConfigError
 from .features import PolarGridConfig, SemanticConfig, feature_dim
 from .model import ModelConfig
@@ -65,18 +67,10 @@ _DEFAULTS: dict[str, str] = {
 
 def parse_kv_file(path) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path} line {line_no}: unknown config key {key!r}")
-            values[key] = value.strip()
+    for line_no, key, value in read_key_values(path, ConfigError):
+        if key not in _DEFAULTS:
+            raise ConfigError(f"{path} line {line_no}: unknown config key {key!r}")
+        values[key] = value
     return values
 
 
@@ -94,6 +88,10 @@ def _to_float(raw: str, key: str) -> float:
         raise ConfigError(f"{key}: expected number, got {raw!r}") from None
 
 
+def _to_optional_float(raw: str, key: str) -> float | None:
+    return _to_float(raw, key) if raw else None
+
+
 def _to_bool(raw: str, key: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "1", "yes"):
@@ -101,6 +99,20 @@ def _to_bool(raw: str, key: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ConfigError(f"{key}: expected true/false, got {raw!r}")
+
+
+# a settings dataclass field's declared type -> the parser of its value
+_PARSERS = {int: _to_int, float: _to_float, float | None: _to_optional_float}
+
+
+def _section(cls, section: str, values: dict[str, str], **derived):
+    """``cls`` built from the ``<section>.<field>`` values, each parsed by the
+    field's declared type, plus the ``derived`` fields no key sets; a field
+    with neither keeps its default."""
+    types = get_type_hints(cls)
+    kwargs = {f.name: _PARSERS[types[f.name]](values[key], key)
+              for f in fields(cls) if (key := f"{section}.{f.name}") in values}
+    return cls(**kwargs, **derived)
 
 
 @dataclass
@@ -120,13 +132,7 @@ class RunConfig:
     kalman_measurement_noise: float
     context: bool
     out_dir: Path
-    seed: int
     checkpoint_every: int
-    raw: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def feature_dim(self) -> int:
-        return feature_dim(self.grid, self.semantic, self.context)
 
 
 def build_run_config(path=None, overrides: list[str] | None = None) -> RunConfig:
@@ -146,44 +152,15 @@ def build_run_config(path=None, overrides: list[str] | None = None) -> RunConfig
     if values["data.adapter"] not in ("canonical", "dut", "ind"):
         raise ConfigError(f"data.adapter must be canonical/dut/ind, got {values['data.adapter']!r}")
 
+    context = _to_bool(values["context.enabled"], "context.enabled")
     try:
-        window = WindowConfig(
-            delta=_to_int(values["window.delta"], "window.delta"),
-            kappa=_to_int(values["window.kappa"], "window.kappa"),
-            stride=_to_int(values["window.stride"], "window.stride"),
-            rate_hz=_to_float(values["window.rate_hz"], "window.rate_hz"),
-        )
-        grid = PolarGridConfig(
-            threshold_px=_to_float(values["grid.threshold_px"], "grid.threshold_px"),
-            radial_bins=_to_int(values["grid.radial_bins"], "grid.radial_bins"),
-            angular_bins=_to_int(values["grid.angular_bins"], "grid.angular_bins"),
-            type_channels=_to_int(values["grid.type_channels"], "grid.type_channels"),
-        )
-        semantic = SemanticConfig(
-            k=_to_int(values["semantic.k"], "semantic.k"),
-            d_max_px=_to_float(values["semantic.d_max_px"], "semantic.d_max_px"),
-        )
-        context = _to_bool(values["context.enabled"], "context.enabled")
-        model = ModelConfig(
-            feature_dim=feature_dim(grid, semantic, context),
-            d_model=_to_int(values["model.d_model"], "model.d_model"),
-            n_heads=_to_int(values["model.n_heads"], "model.n_heads"),
-            n_layers=_to_int(values["model.n_layers"], "model.n_layers"),
-            d_ff=_to_int(values["model.d_ff"], "model.d_ff"),
-            dropout=_to_float(values["model.dropout"], "model.dropout"),
-        )
-        train = TrainConfig(
-            epochs=_to_int(values["train.epochs"], "train.epochs"),
-            learning_rate=_to_float(values["train.learning_rate"], "train.learning_rate"),
-            beta1=_to_float(values["train.beta1"], "train.beta1"),
-            beta2=_to_float(values["train.beta2"], "train.beta2"),
-            eps=_to_float(values["train.eps"], "train.eps"),
-            batch_size=_to_int(values["train.batch_size"], "train.batch_size"),
-            seed=_to_int(values["seed"], "seed"),
-            grad_clip=(_to_float(values["train.grad_clip"], "train.grad_clip")
-                       if values["train.grad_clip"] else None),
-            val_fraction=_to_float(values["train.val_fraction"], "train.val_fraction"),
-        )
+        window = _section(WindowConfig, "window", values)
+        grid = _section(PolarGridConfig, "grid", values)
+        semantic = _section(SemanticConfig, "semantic", values)
+        model = _section(ModelConfig, "model", values,
+                         feature_dim=feature_dim(grid, semantic, context))
+        train = _section(TrainConfig, "train", values,
+                         seed=_to_int(values["seed"], "seed"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -217,7 +194,5 @@ def build_run_config(path=None, overrides: list[str] | None = None) -> RunConfig
                                            "eval.kalman_measurement_noise"),
         context=context,
         out_dir=Path(values["out_dir"]),
-        seed=_to_int(values["seed"], "seed"),
         checkpoint_every=_to_int(values["train.checkpoint_every"], "train.checkpoint_every"),
-        raw=values,
     )

@@ -253,23 +253,20 @@ def validate_pixel_consistency(track: AgentTrack, meters_per_pixel: float, tol: 
 
 # ---------------------------------------------------------- resampling
 
-def resample(track: AgentTrack, rate_hz: float, align_global: bool = False) -> AgentTrack:
-    """Resample onto a uniform 1/rate grid covering the original span.
+def resample(track: AgentTrack, rate_hz: float) -> AgentTrack:
+    """Resample onto the shared grid of multiples of 1/rate inside the
+    track's span, so every agent of a scene is sampled at the same times.
 
     Positions are linearly interpolated between bracketing samples; no
     extrapolation. Grid points within 1e-9 s of an original sample reuse
     that sample exactly, so a track already on the grid passes through
-    bit-identically. ``align_global`` anchors the grid on multiples of
-    1/rate (shared across agents) instead of the track's first timestamp.
+    bit-identically.
     """
     if rate_hz <= 0:
         raise ValueError(f"rate_hz must be positive, got {rate_hz}")
     if len(track) < 2:
         raise DataError(f"agent {track.agent_id}: cannot resample a track with {len(track)} sample(s)")
-    if align_global:
-        t0 = math.ceil(track.t[0] * rate_hz - 1e-9) / rate_hz
-    else:
-        t0 = float(track.t[0])
+    t0 = math.ceil(track.t[0] * rate_hz - 1e-9) / rate_hz
     span = float(track.t[-1]) - t0
     count = int(math.floor(span * rate_hz + 1e-9)) + 1
     if count < 1:
@@ -353,23 +350,31 @@ class Scene:
     meta: dict
 
 
-def parse_scene_meta(path) -> dict:
-    if not Path(path).is_file():
-        raise DataError(f"scene metadata file {path} does not exist")
+def read_key_values(path, error: type[Exception]) -> list[tuple[int, str, str]]:
+    """(line number, key, value) of each ``key = value`` line of a UTF-8 file
+    (config files and ``scene.meta``), both sides stripped, skipping blank
+    and ``#`` lines. An unreadable file (missing, a directory, not UTF-8) or
+    a line without ``=`` raises ``error`` naming the file and line."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-    meta = {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read ({exc})") from None
+    entries = []
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"{path} line {line_no}: expected key=value, got {line!r}")
+            raise error(f"{path} line {line_no}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
+        entries.append((line_no, key.strip(), value.strip()))
+    return entries
+
+
+def parse_scene_meta(path) -> dict:
+    meta = {}
+    for line_no, key, value in read_key_values(path, DataError):
         if key == "meters_per_pixel" and not _parse_float(value, path, line_no, key) > 0:
             raise DataError(f"{path} row {line_no}: meters_per_pixel must be positive, "
                             f"got {value!r}")

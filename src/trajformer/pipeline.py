@@ -1,7 +1,8 @@
 """Glue from raw dataset roots to model-ready windows and cached features.
 
-All tracks in a scene are resampled onto the shared global grid (multiples
-of 1/rate) so windows and their neighbors line up in time. Features are
+``load_root`` is the one path from a dataset root to its windows: all
+tracks in a scene are resampled onto the shared global grid (multiples of
+1/rate) so windows and their neighbors line up in time. Features are
 built once per (agent, timestep) over each track's observed span, and each
 window's block is a slice of that array. Feature blocks are cached in the
 binary bundle format keyed by (scene_id, ego_id, window start); reruns
@@ -16,7 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import AgentTrack, Scene, TrajectoryWindow, WindowConfig, extract_windows, resample
+from .data import (AgentTrack, Scene, TrajectoryWindow, WindowConfig, extract_windows,
+                   load_dataset_root, resample)
 from .errors import ConfigError, DataError
 from .features import (FeatureStats, PolarGridConfig, SemanticConfig, build_features,
                        compute_offsets, feature_dim)
@@ -56,7 +58,7 @@ def resample_scene(scene: Scene, rate_hz: float) -> Scene:
     for track in scene.tracks:
         if len(track) < 2:
             continue
-        kept.append(resample(track, rate_hz, align_global=True))
+        kept.append(resample(track, rate_hz))
     return Scene(scene_map=scene.scene_map, tracks=kept, meta=scene.meta)
 
 
@@ -79,11 +81,11 @@ def build_feature_set(
     pg: PolarGridConfig,
     sc: SemanticConfig,
     context: bool = True,
-    resampled: bool = False,
 ) -> FeatureSet:
-    """Windows plus fused features for every pedestrian in every scene."""
-    if not resampled:
-        scenes = [resample_scene(s, wcfg.rate_hz) for s in scenes]
+    """Windows plus fused features for every pedestrian in every scene.
+
+    The scenes' tracks must already be on the 1/rate grid (``resample_scene``
+    puts them there; synthetic scenes are generated on it)."""
     per_track = [(scene, track, extract_windows(track, wcfg, scene.scene_map.scene_id))
                  for scene in scenes for track in scene.tracks]
     n = sum(len(windows) for _, _, windows in per_track)
@@ -107,6 +109,14 @@ def build_feature_set(
             fut[i] = window.fut_m
             keys.append((window.scene_id, window.ego_id, window.start_index))
     return FeatureSet(keys, features, targets, last, obs, fut, context)
+
+
+def load_root(root, adapter: str, window: WindowConfig, grid: PolarGridConfig,
+              semantic: SemanticConfig, context: bool = True) -> tuple[list[Scene], FeatureSet]:
+    """A dataset root's scenes, resampled onto the window grid, and the
+    FeatureSet of all their windows."""
+    scenes = [resample_scene(s, window.rate_hz) for s in load_dataset_root(root, adapter)]
+    return scenes, build_feature_set(scenes, window, grid, semantic, context)
 
 
 def decode_predictor(params: ModelParams, stats: FeatureStats, fset: FeatureSet,

@@ -79,8 +79,13 @@ def _write_array(f, arr, dtype: str) -> None:
 def load_bundle(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
     """Arrays and meta of a bundle; with ``names``, only those arrays are read
     (names the bundle lacks are left out) and the bytes of the others are
-    skipped. A malformed bundle raises DataError naming the file."""
-    with open(path, "rb") as f:
+    skipped. A missing, unreadable or malformed bundle raises DataError
+    naming the file."""
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc})") from None
+    with f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != MAGIC:

@@ -234,6 +234,7 @@ def train(
                 for name in grads:  # one new array at a time
                     grads[name] = grads[name] * factor
             adam_step(params, grads, state, cfg)
+            del grads  # else held while the next minibatch's tape is built
         val_loss = (_eval_mean_loss(params, features[val_idx], targets[val_idx])
                     if len(val_idx) else float("nan"))
         wall = time.perf_counter() - started

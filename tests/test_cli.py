@@ -3,15 +3,17 @@ import hashlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trajformer import cli
 from trajformer.cli import main
 from trajformer.config import build_run_config
 from trajformer.evaluation import load_report
-from trajformer.model import load_checkpoint
+from trajformer.model import load_checkpoint, save_checkpoint
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -302,3 +304,61 @@ def test_predict_missing_scene_map_errors(tmp_path, dataset):
     rc = run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(dataset),
              "--out", str(tmp_path / "pred"), "--plot")
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "evaluate-vanilla", "train"])
+def test_missing_checkpoint_exits_2(tmp_path, dataset, capsys, command):
+    missing = tmp_path / "absent.ckpt"
+    out = tmp_path / "out"
+    if command == "predict":
+        argv = ["predict", "--checkpoint", str(missing), "--root", str(dataset),
+                "--out", str(out)]
+    elif command == "train":
+        assert run("preprocess", *desk_args(dataset, out)) == 0
+        argv = ["train", *desk_args(dataset, out), "--resume", str(missing)]
+    else:
+        method, flag = (("vanilla_tf", "--vanilla-checkpoint") if command.endswith("vanilla")
+                        else ("context_tf", "--checkpoint"))
+        argv = ["evaluate", *desk_args(dataset, out), "--test-root", str(dataset),
+                "--methods", method, flag, str(missing), "--allow-same-dataset"]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert str(missing) in capsys.readouterr().err
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written in ([], [".lock", "cache", "canonical"])
+
+
+def test_predict_checkpoint_without_settings_exits_2(tmp_path, dataset, capsys):
+    out = train_pipeline(tmp_path, dataset)
+    ckpt = load_checkpoint(out / "model.ckpt")
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(bare, ckpt.params)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, ckpt.params, ckpt.stats, {**ckpt.meta, "window": {"delta": 1}})
+    for path in (bare, bad):
+        pred_dir = tmp_path / f"pred_{path.stem}"
+        assert run("predict", "--checkpoint", str(path), "--root", str(dataset),
+                   "--out", str(pred_dir)) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not pred_dir.exists()
+
+
+def test_failed_log_write_keeps_previous_log(tmp_path, dataset, monkeypatch):
+    out = train_pipeline(tmp_path, dataset)
+    log = out / "train_log.csv"
+    before = log.read_bytes()
+    real_atomic_open = cli.atomic_open
+
+    @contextmanager
+    def disk_full_for_log(path, *args, **kwargs):
+        with real_atomic_open(path, *args, **kwargs) as f:
+            if Path(path) == log:
+                f.write("epoch,tr")
+                raise OSError(28, "No space left on device")
+            yield f
+
+    monkeypatch.setattr(cli, "atomic_open", disk_full_for_log)
+    with pytest.raises(OSError, match="No space left"):
+        run("train", *desk_args(dataset, out, ["train.epochs=3"]))
+    assert log.read_bytes() == before
+    assert not (out / "train_log.csv.tmp").exists()

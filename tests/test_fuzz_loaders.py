@@ -1,5 +1,6 @@
 """Mutation fuzzing of the file loaders: any mutated input either loads or
-raises DataError, never another exception."""
+raises the loader's error (DataError; ConfigError for config files) naming
+the file, never another exception."""
 
 import tempfile
 from pathlib import Path
@@ -8,8 +9,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from trajformer.config import parse_kv_file
 from trajformer.data import load_tracks, parse_scene_meta
-from trajformer.errors import DataError
+from trajformer.errors import ConfigError, DataError
 from trajformer.maps import read_pgm, read_png_gray, write_pgm, write_png_gray
 from trajformer.serialize import load_bundle, save_bundle
 
@@ -35,6 +37,7 @@ def _seed_files(root: Path) -> dict[str, bytes]:
     seeds["ind.csv"] = (b"trackId,frame,xCenter,yCenter,xVelocity,yVelocity,class\n"
                         b"1,0,1.0,2.0,0,0,pedestrian\n1,1,1.1,2.0,0,0,pedestrian\n")
     seeds["scene.meta"] = b"scene_id = s\nmeters_per_pixel = 0.1\nlabel_map = map.pgm\n"
+    seeds["run.cfg"] = b"# desk\nwindow.delta = 10\nmodel.d_model = 32\ntrain.grad_clip =\n"
     return seeds
 
 
@@ -50,7 +53,9 @@ LOADERS = {
     "dut.csv": lambda p: load_tracks(p, "dut"),
     "ind.csv": lambda p: load_tracks(p, "ind"),
     "scene.meta": parse_scene_meta,
+    "run.cfg": parse_kv_file,
 }
+ERRORS = {"run.cfg": ConfigError}  # every other loader raises DataError
 
 
 @st.composite
@@ -81,7 +86,7 @@ def test_mutated_input_loads_or_raises_data_error(case):
         path.write_bytes(data)
         try:
             LOADERS[name](path)
-        except DataError as exc:
+        except ERRORS.get(name, DataError) as exc:
             assert str(path) in str(exc)
 
 

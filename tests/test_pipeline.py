@@ -8,8 +8,8 @@ from trajformer.data import AgentTrack, Scene, WindowConfig, load_dataset_root
 from trajformer.errors import DataError
 from trajformer.features import PolarGridConfig, SemanticConfig
 from trajformer.maps import SceneMap
-from trajformer.pipeline import (build_feature_set, load_feature_cache, resample_scene,
-                                 save_feature_cache)
+from trajformer.pipeline import (build_feature_set, load_feature_cache, load_root,
+                                 resample_scene, save_feature_cache)
 from trajformer.serialize import load_bundle, save_bundle
 from trajformer.synth import SCENARIOS, generate_scenes, synth_dataset
 
@@ -25,7 +25,7 @@ def scenes(tmp_path):
 
 
 def test_feature_set_shapes(scenes):
-    fset = build_feature_set(scenes, WCFG, PG, SC, resampled=True)
+    fset = build_feature_set(scenes, WCFG, PG, SC)
     assert len(fset) > 0
     n = len(fset)
     assert fset.features.shape == (n, WCFG.delta - 1, 2 + PG.n_cells + 6)
@@ -33,10 +33,27 @@ def test_feature_set_shapes(scenes):
     assert fset.obs_m.shape == (n, WCFG.delta, 2)
 
 
+def test_load_root_equals_resample_then_build(tmp_path):
+    # recorded at 25 Hz, so resampling onto the 10 Hz grid interpolates
+    root = synth_dataset(tmp_path / "ds", "crossing", 2, seed=1, n_scenes=2, rate_hz=25.0)
+    ref_scenes = [resample_scene(s, WCFG.rate_hz) for s in load_dataset_root(root)]
+    for context in (False, True):
+        scenes, fset = load_root(root, "canonical", WCFG, PG, SC, context)
+        ref = build_feature_set(ref_scenes, WCFG, PG, SC, context)
+        assert len(fset) > 0 and fset.keys == ref.keys and fset.context == ref.context
+        for name in ("features", "target_offsets", "last_obs_m", "obs_m", "fut_m"):
+            assert np.array_equal(getattr(fset, name), getattr(ref, name)), name
+        for ours, want in zip(scenes, ref_scenes, strict=True):
+            assert [tr.agent_id for tr in ours.tracks] == [tr.agent_id for tr in want.tracks]
+            for a, b in zip(ours.tracks, want.tracks):
+                assert np.array_equal(a.t, b.t) and np.array_equal(a.xy_m, b.xy_m)
+                assert np.array_equal(a.xy_px, b.xy_px)
+
+
 def test_target_offsets_bridge_and_reconstruct(scenes):
     # first target offset bridges from the last observed position; the
     # cumulative sum of the targets rebuilds the future exactly
-    fset = build_feature_set(scenes, WCFG, PG, SC, resampled=True)
+    fset = build_feature_set(scenes, WCFG, PG, SC)
     offsets = fset.target_offsets
     assert np.allclose(offsets[:, 0], fset.fut_m[:, 0] - fset.obs_m[:, -1], atol=1e-12)
     assert np.array_equal(fset.last_obs_m, fset.obs_m[:, -1])
@@ -45,7 +62,7 @@ def test_target_offsets_bridge_and_reconstruct(scenes):
 
 
 def test_cache_roundtrip_and_determinism(tmp_path, scenes):
-    fset = build_feature_set(scenes, WCFG, PG, SC, resampled=True)
+    fset = build_feature_set(scenes, WCFG, PG, SC)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_feature_cache(p1, fset, WCFG, PG, SC)
     save_feature_cache(p2, fset, WCFG, PG, SC)
@@ -107,7 +124,7 @@ def test_load_bundle_reads_only_named_arrays(tmp_path):
 
 
 def test_cache_missing_array_names_file(tmp_path, scenes):
-    fset = build_feature_set(scenes, WCFG, PG, SC, resampled=True)
+    fset = build_feature_set(scenes, WCFG, PG, SC)
     path = tmp_path / "cache.bin"
     save_feature_cache(path, fset, WCFG, PG, SC)
     arrays, meta = load_bundle(path)
@@ -128,7 +145,7 @@ def assert_matches_reference(tmp_path, scenes, wcfg, pg, sc):
     """Bit-equal FeatureSet and byte-equal cache versus the per-window loop;
     returns the context feature set."""
     for context in (False, True):
-        ours = build_feature_set(scenes, wcfg, pg, sc, context, resampled=True)
+        ours = build_feature_set(scenes, wcfg, pg, sc, context)
         ref = reference_window_features(scenes, wcfg, pg, sc, context)
         assert ours.keys == ref.keys and ours.context == ref.context
         for name in ("features", "target_offsets", "last_obs_m", "obs_m", "fut_m"):

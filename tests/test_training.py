@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracle_helpers import reference_adam_step, reference_train
@@ -352,3 +354,22 @@ def test_train_rejects_windows_of_different_shapes():
     features[1] = features[1][:-1]
     with pytest.raises(ValueError, match="one shape"):
         train(ModelParams(TINY, seed=0), features, targets, TrainConfig(epochs=1))
+
+
+def test_second_epoch_holds_no_stale_gradients():
+    # the previous minibatch's gradients (one array per parameter) must be
+    # released before the next minibatch's tape is built, epochs included
+    config = ModelConfig(feature_dim=2, d_model=64, n_heads=2, n_layers=2)
+    rng = np.random.default_rng(0)
+    features, targets = rng.normal(size=(2, 4, 2)), rng.normal(size=(2, 5, 2))
+
+    def peak_bytes(epochs):
+        params = ModelParams(config, seed=0)
+        tracemalloc.start()
+        try:
+            train(params, features, targets, TrainConfig(epochs=epochs, val_fraction=0.0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(2) <= 1.05 * peak_bytes(1)
