@@ -362,13 +362,15 @@ def _topo_order(seed: Tensor):
     return order
 
 
-def backward(seed: Tensor) -> dict[Tensor, np.ndarray]:
+def backward(seed: Tensor, into: dict | None = None) -> dict[Tensor, np.ndarray]:
     """Gradient of a scalar ``seed`` w.r.t. every leaf of its graph.
 
     Returns a mapping from each leaf tensor (parameters, constants; keyed by
-    identity) to d(seed)/d(leaf) with the leaf's shape. An op node's
-    gradient is dropped once it has been passed to the node's parents, so
-    the sweep holds only the gradients still waiting to be consumed.
+    identity) to d(seed)/d(leaf) with the leaf's shape; with ``into`` (leaf ->
+    array) each listed leaf's gradient is added into its array instead and
+    other leaves' are dropped. An op node's gradient is dropped once it has
+    been passed to the node's parents, so the sweep holds only the gradients
+    still waiting to be consumed.
     """
     if seed.data.size != 1:
         raise ValueError(f"backward: seed must be scalar, got shape {seed.shape}")
@@ -380,6 +382,10 @@ def backward(seed: Tensor) -> dict[Tensor, np.ndarray]:
         if g is None:
             continue
         for parent, pg in zip(node.parents, node._vjp(g)):
+            if into is not None and parent._vjp is None:
+                if parent in into:
+                    into[parent] += pg
+                continue
             acc = grads.get(parent)
             grads[parent] = pg if acc is None else acc + pg
     return grads

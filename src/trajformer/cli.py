@@ -29,7 +29,7 @@ from .pipeline import (decode_predictor, load_feature_cache, load_root, save_fea
 from .plots import render_window_svg
 from .serialize import atomic_open
 from .synth import SCENARIOS, synth_dataset
-from .training import AdamState, train
+from .training import train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,13 +158,14 @@ def cmd_train(args) -> int:
         start_epoch = 0
         state = None
         if args.resume:
-            ckpt = load_checkpoint(args.resume)
+            ckpt = _runnable_checkpoint(args.resume, with_adam=True)
             if ckpt.params.config != cfg.model:
                 raise ConfigError("resume checkpoint config does not match run config")
-            params, stats = ckpt.params, ckpt.stats
-            start_epoch = int(ckpt.meta["epochs_done"])
-            if ckpt.adam_moments is not None:
-                state = AdamState.restore(params, *ckpt.adam_moments)
+            params, stats, state = ckpt.params, ckpt.stats, ckpt.adam_moments
+            start_epoch = ckpt.meta.get("epochs_done")
+            if type(start_epoch) is not int or start_epoch < 0:
+                raise DataError(f"{args.resume}: checkpoint meta has no valid epochs_done "
+                                f"({start_epoch!r})")
         else:
             params = ModelParams(cfg.model, seed=cfg.train.seed)
             stats = FeatureStats.fit([features])
@@ -181,9 +182,12 @@ def cmd_train(args) -> int:
         log_path = cfg.out_dir / "train_log.csv"
         log_rows = [TRAIN_LOG_HEADER]
         if args.resume and log_path.exists():
-            with open(log_path, newline="", encoding="utf-8") as f:
-                log_rows += [r + [""] * (len(TRAIN_LOG_HEADER) - len(r))
-                             for r in list(csv.reader(f))[1:]]
+            try:
+                with open(log_path, newline="", encoding="utf-8") as f:
+                    log_rows += [r + [""] * (len(TRAIN_LOG_HEADER) - len(r))
+                                 for r in list(csv.reader(f))[1:]]
+            except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                raise DataError(f"{log_path}: cannot read the training log ({exc})") from None
 
         ckpt_path = cfg.out_dir / "model.ckpt"
 
@@ -196,13 +200,12 @@ def cmd_train(args) -> int:
                 csv.writer(f).writerows(log_rows)
             if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
                 meta = _checkpoint_meta(cfg, train_dataset, epoch + 1)
-                adam = (epoch_state.m, epoch_state.v, epoch_state.tau)
-                save_checkpoint(ckpt_path, epoch_params, stats, meta, adam)
+                save_checkpoint(ckpt_path, epoch_params, stats, meta, epoch_state)
 
         history, state = train(params, standardized, targets, run_cfg,
                                state=state, start_epoch=start_epoch, on_epoch=on_epoch)
         meta = _checkpoint_meta(cfg, train_dataset, start_epoch + remaining)
-        save_checkpoint(ckpt_path, params, stats, meta, (state.m, state.v, state.tau))
+        save_checkpoint(ckpt_path, params, stats, meta, state)
         print(f"trained {remaining} epoch(s); final train loss "
               f"{history[-1]['train_loss']:.6f}; checkpoint {ckpt_path}")
     return 0
@@ -232,7 +235,7 @@ def cmd_evaluate(args) -> int:
             continue
         if not path:
             raise ConfigError(f"method {method} needs {flag}")
-        ckpt = load_checkpoint(path, with_adam=False)
+        ckpt = _runnable_checkpoint(path)
         if bool(ckpt.meta.get("context")) != context:
             raise ConfigError(f"{flag} was trained {'without' if context else 'with'} "
                               "context features")
@@ -268,13 +271,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _runnable_checkpoint(path, with_adam: bool = False) -> Checkpoint:
+    """A checkpoint the commands can run: one holding standardization stats."""
+    ckpt = load_checkpoint(path, with_adam)
+    if ckpt.stats is None:
+        raise DataError(f"{path}: checkpoint holds no feature standardization stats")
+    return ckpt
+
+
 def _require_window_match(ckpt: Checkpoint, cfg: RunConfig) -> None:
     if ckpt.meta.get("window") != _settings(cfg)["window"]:
         raise ConfigError("checkpoint window settings do not match the run config")
 
 
 def cmd_predict(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint, with_adam=False)
+    ckpt = _runnable_checkpoint(args.checkpoint)
     try:
         window, grid, semantic = (cls(**ckpt.meta[name]) for cls, name in (
             (WindowConfig, "window"), (PolarGridConfig, "grid"), (SemanticConfig, "semantic")))

@@ -23,6 +23,7 @@ cumulative sum from the last observed position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -71,22 +72,26 @@ def _attention_param_names(prefix: str):
 
 
 class ModelParams:
-    """All learnable weights, addressable by name, deterministic init."""
+    """All learnable weights as named views of one float64 vector, ``flat``;
+    ``views`` names gradients and Adam moments in the same layout. ``seed=None``
+    leaves ``flat`` zero. Write into a view, never rebind ``tensors[name]``."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
         self.config = config
-        self.tensors: dict[str, Tensor] = {}
-        rng = np.random.default_rng(seed)
+        self._layout, size = [], 0  # (name, slice of flat, shape) per weight
         for name, shape in self.param_shapes(config).items():
-            self.tensors[name] = Tensor(self._init_array(name, shape, rng))
+            self._layout.append((name, slice(size, size + math.prod(shape)), shape))
+            size += math.prod(shape)
+        self.flat = np.zeros(size)
+        self.tensors = {name: Tensor(view) for name, view in self.views(self.flat).items()}
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            for name, tensor in self.tensors.items():
+                self._init_into(name, tensor.data, rng)
 
-    @classmethod
-    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """Weights given by name, e.g. read from a checkpoint; no random init."""
-        params = cls.__new__(cls)
-        params.config = config
-        params.tensors = {name: Tensor(arr) for name, arr in arrays.items()}
-        return params
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of ``flat``, a vector in this model's parameter layout."""
+        return {name: flat[part].reshape(shape) for name, part, shape in self._layout}
 
     @staticmethod
     def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
@@ -125,13 +130,12 @@ class ModelParams:
         return shapes
 
     @staticmethod
-    def _init_array(name: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    def _init_into(name: str, view: np.ndarray, rng: np.random.Generator) -> None:
         if name.endswith(".gain"):
-            return np.ones(shape)
-        if len(shape) == 2 and name != "start_token":
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            return rng.uniform(-limit, limit, shape)
-        return np.zeros(shape)
+            view[...] = 1.0
+        elif view.ndim == 2 and name != "start_token":
+            limit = np.sqrt(6.0 / (view.shape[0] + view.shape[1]))
+            view[...] = rng.uniform(-limit, limit, view.shape)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -141,6 +145,16 @@ class ModelParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.tensors.items()}
+
+
+class AdamState:
+    """Adam's first and second moments, vectors in the layout of
+    ``ModelParams.flat``, and the shared step counter."""
+
+    def __init__(self, params: ModelParams, tau: int = 0):
+        self.m = np.zeros(params.flat.size)
+        self.v = np.zeros(params.flat.size)
+        self.tau = tau
 
 
 # ------------------------------------------------------------- layers
@@ -410,15 +424,24 @@ def _decode(w: dict, cfg: ModelConfig, feats: np.ndarray, kappa: int, first: int
 
 # ---------------------------------------------------------- checkpoints
 
+def _checkpoint_views(params: ModelParams, adam: AdamState | None) -> dict[str, np.ndarray]:
+    """Bundle name -> view of every weight and, with ``adam``, every moment."""
+    out = {f"param.{name}": arr for name, arr in params.arrays().items()}
+    if adam is not None:
+        for kind, flat in (("m", adam.m), ("v", adam.v)):
+            out.update({f"adam.{kind}.{name}": arr for name, arr in params.views(flat).items()})
+    return out
+
+
 def save_checkpoint(
     path,
     params: ModelParams,
     stats: FeatureStats | None = None,
     meta: dict | None = None,
-    adam_moments: tuple[dict, dict, int] | None = None,
+    adam_moments: AdamState | None = None,
 ) -> None:
     """Self-describing container: config + standardization stats + weights."""
-    arrays = {f"param.{name}": arr for name, arr in params.arrays().items()}
+    arrays = _checkpoint_views(params, adam_moments)
     if stats is not None:
         arrays["stats.mean"] = stats.mean
         arrays["stats.std"] = stats.std
@@ -428,12 +451,7 @@ def save_checkpoint(
         "config": asdict(params.config),
     }
     if adam_moments is not None:
-        m, v, tau = adam_moments
-        for name, arr in m.items():
-            arrays[f"adam.m.{name}"] = arr
-        for name, arr in v.items():
-            arrays[f"adam.v.{name}"] = arr
-        header["adam_tau"] = tau
+        header["adam_tau"] = adam_moments.tau
     header.update(meta or {})
     save_bundle(path, arrays, header)
 
@@ -443,39 +461,25 @@ class Checkpoint:
     params: ModelParams
     stats: FeatureStats | None
     meta: dict
-    adam_moments: tuple[dict, dict, int] | None
+    adam_moments: AdamState | None
 
 
 def load_checkpoint(path, with_adam: bool = True) -> Checkpoint:
-    """Read a checkpoint; ``with_adam=False`` skips the optimizer moments'
-    bytes, which only resuming training needs."""
+    """Read a checkpoint straight into fresh flat buffers; ``with_adam=False``
+    skips the optimizer moments' bytes, which only resuming training needs."""
     _, header = load_bundle(path, names=())
     try:
-        config = ModelConfig(**header["config"])
+        params = ModelParams(ModelConfig(**header["config"]), seed=None)
+        adam = (AdamState(params, int(header["adam_tau"]))
+                if with_adam and "adam_tau" in header else None)
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad model config in checkpoint ({exc})") from None
-    shapes = ModelParams.param_shapes(config)
-    names = {f"param.{n}" for n in shapes} | {"stats.mean", "stats.std"}
-    if with_adam:
-        names |= {f"adam.{m}.{n}" for m in "mv" for n in shapes}
-    arrays, header = load_bundle(path, names)
-
-    def take(name, shape=None):
-        if name not in arrays:
-            raise DataError(f"{path}: checkpoint lacks array {name!r}")
-        if shape is not None and arrays[name].shape != shape:
-            raise DataError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                            f"expected {shape}")
-        return arrays[name]
-
-    params = ModelParams.from_arrays(
-        config, {n: take(f"param.{n}", shape) for n, shape in shapes.items()})
-    stats = None
-    if "stats.mean" in arrays or "stats.std" in arrays:
-        stats = FeatureStats(take("stats.mean"), take("stats.std"))
-    adam = None
-    if with_adam and "adam_tau" in header:
-        m = {n: take(f"adam.m.{n}", shape) for n, shape in shapes.items()}
-        v = {n: take(f"adam.v.{n}", shape) for n, shape in shapes.items()}
-        adam = (m, v, int(header["adam_tau"]))
+        raise DataError(f"{path}: bad model config or adam_tau in checkpoint ({exc})") from None
+    stats = FeatureStats(*np.zeros((2, params.config.feature_dim)))
+    into = {**_checkpoint_views(params, adam), "stats.mean": stats.mean, "stats.std": stats.std}
+    arrays, header = load_bundle(path, (), into)
+    missing = [name for name in into if name not in arrays]
+    if missing == ["stats.mean", "stats.std"]:
+        stats, missing = None, []
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks array {missing[0]!r}")
     return Checkpoint(params=params, stats=stats, meta=header, adam_moments=adam)

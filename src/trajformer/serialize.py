@@ -76,11 +76,13 @@ def _write_array(f, arr, dtype: str) -> None:
     f.write(stored.reshape(-1).view(np.uint8))
 
 
-def load_bundle(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
+def load_bundle(path, names=None, into=None) -> tuple[dict[str, np.ndarray], dict]:
     """Arrays and meta of a bundle; with ``names``, only those arrays are read
     (names the bundle lacks are left out) and the bytes of the others are
-    skipped. A missing, unreadable or malformed bundle raises DataError
-    naming the file."""
+    skipped. ``into`` maps names to C-contiguous arrays of the stored shape
+    and dtype to read those arrays into. A missing, unreadable or malformed
+    bundle raises DataError naming the file."""
+    into = into or {}
     try:
         f = open(path, "rb")
     except OSError as exc:
@@ -109,9 +111,15 @@ def load_bundle(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
             nbytes = math.prod(shape) * dt.itemsize
             if offset + nbytes > size:
                 raise DataError(f"{path}: truncated array {name!r}")
-            if names is None or name in names:
+            if names is None or name in names or name in into:
+                out = into[name] if name in into else np.empty(shape, dt)
+                if out.shape != shape or out.dtype != dt:
+                    raise DataError(f"{path}: array {name!r} is {dt.str} {list(shape)}, "
+                                    f"expected {out.dtype.str} {list(out.shape)}")
                 f.seek(offset)
-                arrays[name] = np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape).copy()
+                if f.readinto(out) != nbytes:
+                    raise DataError(f"{path}: truncated array {name!r}")
+                arrays[name] = out
             offset += nbytes
     return arrays, header["meta"]
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DivergenceError
-from .model import ModelConfig, ModelParams, teacher_forced_offsets
+from .model import AdamState, ModelConfig, ModelParams, teacher_forced_offsets
 
 _VAL_STREAM = 0x5EED
 
@@ -45,23 +45,6 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
-class AdamState:
-    """First/second moment per parameter plus the shared step counter."""
-
-    def __init__(self, params: ModelParams):
-        self.m = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-        self.tau = 0
-
-    @classmethod
-    def restore(cls, params: ModelParams, m: dict, v: dict, tau: int) -> "AdamState":
-        state = cls(params)
-        state.m = {name: np.array(arr) for name, arr in m.items()}
-        state.v = {name: np.array(arr) for name, arr in v.items()}
-        state.tau = tau
-        return state
-
-
 def l2_loss(pred, target) -> Tensor:
     """Mean squared difference over all entries."""
     pred = ad.as_tensor(pred)
@@ -72,22 +55,32 @@ def l2_loss(pred, target) -> Tensor:
     return ad.tmean(ad.mul(diff, diff))
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
+# Adam walks the flat buffers in slices this long; its scratch is two slices.
+ADAM_SLICE = 2**16
+
+
+def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
               cfg: TrainConfig) -> None:
     """Standard Adam update with bias correction.
 
-    Moments and parameter arrays are updated in place, with the operations
+    ``grad`` is a vector in the layout of ``params.flat``. Moments and
+    weights are updated in place, one slice at a time, with the operations
     in the order of lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is
     bit-equal to computing each new array afresh.
     """
     state.tau += 1
     bc1 = 1.0 - cfg.beta1 ** state.tau
     bc2 = 1.0 - cfg.beta2 ** state.tau
-    for name, g in grads.items():
+    scratch = np.empty((2, min(ADAM_SLICE, grad.size)))
+    for lo in range(0, grad.size, ADAM_SLICE):
+        part = slice(lo, lo + ADAM_SLICE)
+        g, m, v = grad[part], state.m[part], state.v[part]
+        tmp, update = scratch[:, :len(g)]
         if not np.all(np.isfinite(g)):
+            at = lo + int(np.argmin(np.isfinite(g)))
+            name = next(n for n, i in params.views(np.arange(grad.size)).items() if at in i)
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-        m, v = state.m[name], state.v[name]
-        tmp = np.multiply(g, 1.0 - cfg.beta1)
+        np.multiply(g, 1.0 - cfg.beta1, out=tmp)
         m *= cfg.beta1
         m += tmp
         np.multiply(g, g, out=tmp)
@@ -97,14 +90,10 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += cfg.eps
-        update = np.divide(m, bc1)
+        np.divide(m, bc1, out=update)
         update *= cfg.learning_rate
         update /= tmp
-        params.tensors[name].data -= update
-
-
-def _global_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
+        params.flat[part] -= update
 
 
 # Windows go through the tape together in chunks whose forward activations
@@ -132,15 +121,17 @@ def _window_losses(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _batch_gradients(params: ModelParams, features: np.ndarray, targets: np.ndarray,
                      rng: np.random.Generator | None = None,
-                     where: str = "") -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradient of the mean over windows of each window's mean L2, and the
-    per-window losses. Windows (B, L, F) run as one tape per chunk of
-    ``train_chunk_size`` windows; with several chunks, chunk c's loss is
-    weighted by n_c / B before its backward and the gradients are summed."""
+                     where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the mean over windows of each window's mean L2, as a
+    vector in the layout of ``params.flat``, and the per-window losses.
+    Windows (B, L, F) run as one tape per chunk of ``train_chunk_size``
+    windows; with several chunks, chunk c's loss is weighted by n_c / B
+    before its backward adds its gradient into the vector."""
     n = len(features)
     chunk = train_chunk_size(params.config, features.shape[1], targets.shape[1])
     losses = np.empty(n)
-    total: dict[str, np.ndarray] = {}
+    grad = np.zeros(params.flat.size)  # pages are mapped as backward first writes them
+    into = {params[name]: view for name, view in params.views(grad).items()}
     for lo in range(0, n, chunk):
         f, t = features[lo:lo + chunk], targets[lo:lo + chunk]
         pred = teacher_forced_offsets(params, f, t, rng=rng)
@@ -148,14 +139,9 @@ def _batch_gradients(params: ModelParams, features: np.ndarray, targets: np.ndar
         if not np.all(np.isfinite(losses[lo:lo + len(f)])):
             raise DivergenceError(f"training loss is not finite{where}")
         loss = l2_loss(pred, t)
-        grads = ad.backward(loss if len(f) == n else ad.scale(loss, len(f) / n))
-        for name, tensor in params.tensors.items():
-            g = grads.get(tensor)
-            if g is None:
-                g = np.zeros_like(tensor.data)
-            total[name] = g if name not in total else total[name] + g
-        del pred, loss, grads  # free this chunk's tape before the next one is built
-    return total, losses
+        ad.backward(loss if len(f) == n else ad.scale(loss, len(f) / n), into)
+        del pred, loss  # free this chunk's tape before the next one is built
+    return grad, losses
 
 
 def _eval_mean_loss(params: ModelParams, features: np.ndarray, targets: np.ndarray) -> float:
@@ -222,19 +208,18 @@ def train(
         losses, norms, clipped = [], [], 0
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
-            grads, batch_losses = _batch_gradients(
+            grad, batch_losses = _batch_gradients(
                 params, features[batch], targets[batch], drop_rng,
                 f" at epoch {epoch}, batch {batch_no}")
             losses.extend(batch_losses.tolist())
-            norm = _global_norm(grads)
+            # per-parameter dot products, summed: one vdot over the buffer rounds differently
+            norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in params.views(grad).values())))
             norms.append(norm)
             if cfg.grad_clip is not None and norm > cfg.grad_clip:
                 clipped += 1
-                factor = cfg.grad_clip / norm
-                for name in grads:  # one new array at a time
-                    grads[name] = grads[name] * factor
-            adam_step(params, grads, state, cfg)
-            del grads  # else held while the next minibatch's tape is built
+                grad *= cfg.grad_clip / norm
+            adam_step(params, grad, state, cfg)
+            del grad  # else held while the next minibatch's tape is built
         val_loss = (_eval_mean_loss(params, features[val_idx], targets[val_idx])
                     if len(val_idx) else float("nan"))
         wall = time.perf_counter() - started
@@ -268,7 +253,7 @@ def verify_gradients(
     Returns the worst offender's coordinates alongside the full sample list.
     """
     features, targets = _stack_windows(features, targets)
-    analytic, _ = _batch_gradients(params, features, targets)
+    analytic = params.views(_batch_gradients(params, features, targets)[0])
 
     rng = np.random.default_rng(seed)
     names = params.names()

@@ -17,8 +17,8 @@ from trajformer import autodiff as ad
 from trajformer.data import extract_windows
 from trajformer.errors import DivergenceError
 from trajformer.features import compute_offsets, feature_dim, polar_occupancy, semantic_histogram
-from trajformer.model import (decoder_forward, embed_source, embed_target, encoder_forward,
-                              project_output, teacher_forced_offsets)
+from trajformer.model import (ModelParams, decoder_forward, embed_source, embed_target,
+                              encoder_forward, project_output, teacher_forced_offsets)
 from trajformer.pipeline import FeatureSet, target_offsets_for
 from trajformer.training import AdamState, l2_loss
 
@@ -165,17 +165,37 @@ def _window_features(window, refs, by_id, scene_map, pg, sc, context):
 
 
 def reference_adam_step(params, grads, state, cfg):
-    """Textbook Adam with bias correction, every result a fresh array."""
+    """Textbook Adam with bias correction, per parameter name in ``grads``,
+    every result a fresh array that is then stored into its view of the flat
+    weight and moment buffers."""
     state.tau += 1
     bc1 = 1.0 - cfg.beta1 ** state.tau
     bc2 = 1.0 - cfg.beta2 ** state.tau
+    m_views, v_views = params.views(state.m), params.views(state.v)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
+        m = m_views[name][...] = cfg.beta1 * m_views[name] + (1.0 - cfg.beta1) * g
+        v = v_views[name][...] = cfg.beta2 * v_views[name] + (1.0 - cfg.beta2) * (g * g)
         update = cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        params.tensors[name] = ad.Tensor(params.tensors[name].data - update)
+        params[name].data[...] = params[name].data - update
+
+
+def reference_init(config, seed):
+    """Weights by name, one fresh array each, drawn in ``param_shapes``
+    order: ones for layer-norm gains, Glorot-uniform for the 2-D weights
+    other than the start token, zeros for the rest."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, shape in ModelParams.param_shapes(config).items():
+        if name.endswith(".gain"):
+            out[name] = np.ones(shape)
+        elif len(shape) == 2 and name != "start_token":
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            out[name] = rng.uniform(-limit, limit, shape)
+        else:
+            out[name] = np.zeros(shape)
+    return out
 
 
 def reference_train(params, features, targets, cfg, state=None, start_epoch=0):

@@ -201,6 +201,22 @@ def test_backward_rejects_non_scalar_seed():
         backward(Tensor([1.0, 2.0]))
 
 
+def test_backward_into_adds_leaf_gradients_bit_equal_to_the_dict_form():
+    rng = np.random.default_rng(40)
+    x, w = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2)))
+    c = Tensor(rng.normal(size=(3, 2)))
+
+    def loss():  # x and w each reach the loss along two paths
+        y = ad.matmul(x, w)
+        return ad.tsum(ad.mul(ad.add(y, c), ad.add(y, ad.matmul(x, w))))
+
+    want = backward(loss())
+    into = {x: np.zeros(x.shape), w: np.zeros(w.shape)}
+    assert backward(loss(), into) == {}  # the constant's gradient is dropped
+    for leaf, got in into.items():
+        assert np.array_equal(got, want[leaf])
+
+
 def test_backward_attention_block_vs_finite_differences():
     # single-head scaled dot-product attention with a softmax, end to end
     rng = np.random.default_rng(7)

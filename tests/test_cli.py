@@ -343,6 +343,61 @@ def test_predict_checkpoint_without_settings_exits_2(tmp_path, dataset, capsys):
         assert not pred_dir.exists()
 
 
+@pytest.mark.parametrize("epochs_done", [None, "two", 1.5], ids=["missing", "string", "float"])
+def test_resume_without_valid_epochs_done_exits_2(tmp_path, dataset, capsys, epochs_done):
+    out = train_pipeline(tmp_path, dataset)
+    ckpt = load_checkpoint(out / "model.ckpt")
+    meta = {k: v for k, v in ckpt.meta.items() if k != "epochs_done"}
+    if epochs_done is not None:
+        meta["epochs_done"] = epochs_done
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, ckpt.params, ckpt.stats, meta, ckpt.adam_moments)
+    before = [(out / name).read_bytes() for name in ("model.ckpt", "train_log.csv")]
+    capsys.readouterr()
+    assert run("train", *desk_args(dataset, out, ["train.epochs=4"]), "--resume", str(bad)) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert [(out / name).read_bytes() for name in ("model.ckpt", "train_log.csv")] == before
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_checkpoint_without_stats_exits_2(tmp_path, dataset, capsys, command):
+    out = train_pipeline(tmp_path, dataset)
+    ckpt = load_checkpoint(out / "model.ckpt")
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(bare, ckpt.params, None, ckpt.meta, ckpt.adam_moments)
+    target = tmp_path / "target"
+    argv = {
+        "train": ["train", *desk_args(dataset, out, ["train.epochs=4"]), "--resume", str(bare)],
+        "evaluate": ["evaluate", *desk_args(dataset, target), "--test-root", str(dataset),
+                     "--methods", "context_tf", "--checkpoint", str(bare),
+                     "--allow-same-dataset"],
+        "predict": ["predict", "--checkpoint", str(bare), "--root", str(dataset),
+                    "--out", str(target)],
+    }[command]
+    before = [(out / name).read_bytes() for name in ("model.ckpt", "train_log.csv")]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert str(bare) in capsys.readouterr().err
+    assert not target.exists()
+    assert [(out / name).read_bytes() for name in ("model.ckpt", "train_log.csv")] == before
+
+
+@pytest.mark.parametrize("content", [b"epoch,train_loss\n0,\xff\xfe\n",
+                                     b"epoch\n" + b"x" * 200_000 + b"\n"],
+                         ids=["not_utf8", "field_over_csv_limit"])
+def test_unreadable_log_on_resume_exits_2(tmp_path, dataset, capsys, content):
+    out = train_pipeline(tmp_path, dataset)
+    log = out / "train_log.csv"
+    log.write_bytes(content)
+    ckpt_before = (out / "model.ckpt").read_bytes()
+    capsys.readouterr()
+    assert run("train", *desk_args(dataset, out, ["train.epochs=4"]),
+               "--resume", str(out / "model.ckpt")) == 2
+    assert str(log) in capsys.readouterr().err
+    assert log.read_bytes() == content
+    assert (out / "model.ckpt").read_bytes() == ckpt_before
+
+
 def test_failed_log_write_keeps_previous_log(tmp_path, dataset, monkeypatch):
     out = train_pipeline(tmp_path, dataset)
     log = out / "train_log.csv"

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracle_helpers import reference_autoregressive
+from oracle_helpers import reference_autoregressive, reference_init
 
 from trajformer import autodiff as ad
 from trajformer import model
 from trajformer.autodiff import Tensor, backward
 from trajformer.errors import DataError, DivergenceError
-from trajformer.model import (Checkpoint, ModelConfig, ModelParams, causal_mask, decoder_forward,
-                              embed_source, embed_target, encoder_forward, load_checkpoint,
-                              multi_head_attention, positional_encoding, predict_autoregressive,
-                              project_output, save_checkpoint, teacher_forced_offsets)
+from trajformer.model import (AdamState, Checkpoint, ModelConfig, ModelParams, causal_mask,
+                              decoder_forward, embed_source, embed_target, encoder_forward,
+                              load_checkpoint, multi_head_attention, positional_encoding,
+                              predict_autoregressive, project_output, save_checkpoint,
+                              teacher_forced_offsets)
 from trajformer.features import FeatureStats
 from trajformer.serialize import load_bundle, save_bundle
 
@@ -51,7 +54,7 @@ def test_pe_rejects_odd_dimension():
 
 def test_embed_zero_features_zero_bias_gives_pe():
     params = tiny_params()
-    params.tensors["src_embed.b"] = Tensor(np.zeros(TINY.d_model))
+    params["src_embed.b"].data[...] = np.zeros(TINY.d_model)
     out = embed_source(np.zeros((5, TINY.feature_dim)), params)
     assert np.allclose(out.data, positional_encoding(5, TINY.d_model), atol=1e-15)
 
@@ -65,7 +68,7 @@ def test_embed_preserves_length_and_dim_mismatch_errors():
 
 def test_embed_linear_before_pe():
     params = tiny_params()
-    params.tensors["src_embed.b"] = Tensor(np.zeros(TINY.d_model))
+    params["src_embed.b"].data[...] = np.zeros(TINY.d_model)
     x = np.random.default_rng(0).normal(size=(4, TINY.feature_dim))
     pe = positional_encoding(4, TINY.d_model)
     one = embed_source(x, params).data - pe
@@ -106,9 +109,9 @@ def test_attention_hand_computed_small_case():
     cfg = ModelConfig(feature_dim=2, d_model=2, n_heads=1, n_layers=1)
     params = ModelParams(cfg, seed=0)
     for w in ("wq", "wk", "wv", "wo"):
-        params.tensors[f"enc0.attn.{w}"] = Tensor(np.eye(2))
+        params[f"enc0.attn.{w}"].data[...] = np.eye(2)
     for b in ("bq", "bk", "bv", "bo"):
-        params.tensors[f"enc0.attn.{b}"] = Tensor(np.zeros(2))
+        params[f"enc0.attn.{b}"].data[...] = np.zeros(2)
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
     k = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     v = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -185,8 +188,8 @@ def test_decoder_causality_stepwise():
 def test_decoder_ignores_memory_with_zero_cross_value_projection():
     params = tiny_params(seed=12)
     for i in range(TINY.n_layers):
-        params.tensors[f"dec{i}.cross_attn.wv"] = Tensor(np.zeros((TINY.d_model, TINY.d_model)))
-        params.tensors[f"dec{i}.cross_attn.bv"] = Tensor(np.zeros(TINY.d_model))
+        params[f"dec{i}.cross_attn.wv"].data[...] = np.zeros((TINY.d_model, TINY.d_model))
+        params[f"dec{i}.cross_attn.bv"].data[...] = np.zeros(TINY.d_model)
     rng = np.random.default_rng(13)
     targets = rng.normal(size=(4, 2))
     y = embed_target(np.concatenate([params["start_token"].data, targets[:-1]]), params)
@@ -206,8 +209,8 @@ def test_causal_mask_shape():
 
 def test_project_output_zero_weights_gives_bias():
     params = tiny_params()
-    params.tensors["out_proj.w"] = Tensor(np.zeros((TINY.d_model, 2)))
-    params.tensors["out_proj.b"] = Tensor(np.array([0.5, -0.5]))
+    params["out_proj.w"].data[...] = np.zeros((TINY.d_model, 2))
+    params["out_proj.b"].data[...] = np.array([0.5, -0.5])
     out = project_output(Tensor(np.ones((6, TINY.d_model))), params)
     assert np.array_equal(out.data, np.tile([0.5, -0.5], (6, 1)))
 
@@ -249,7 +252,7 @@ def test_predict_kappa_validation():
 
 def test_predict_divergence_detected():
     params = tiny_params(seed=19)
-    params.tensors["out_proj.b"] = Tensor(np.array([np.nan, 0.0]))
+    params["out_proj.b"].data[...] = np.array([np.nan, 0.0])
     with pytest.raises(DivergenceError):
         predict_autoregressive(params, np.zeros((4, TINY.feature_dim)), np.zeros(2), 2)
 
@@ -324,7 +327,7 @@ def test_decode_divergence_names_step_and_window(monkeypatch):
         predict_autoregressive(params, features, anchors, 4)
     # finite until the first emitted offset is fed back through an overflowing embedding
     features[3, 2, 1] = 0.0
-    params.tensors["start_token"] = Tensor(np.zeros((1, 2)))
+    params["start_token"].data[...] = np.zeros((1, 2))
     params.tensors["tgt_embed.w"].data[0] = 1e308
     params.tensors["out_proj.b"].data[0] = 10.0
     with pytest.raises(DivergenceError, match=r"decode step 1 in window 0\b"):
@@ -434,6 +437,61 @@ def test_ablation_config_shrinks_source_embedding():
     assert set(params.names()) == set(full.names())
 
 
+# ------------------------------------------------- flat parameter layout
+
+def test_parameters_are_views_that_tile_the_flat_vector():
+    params = tiny_params(seed=30)
+    assert all(np.shares_memory(t.data, params.flat) for t in params.tensors.values())
+    params.flat[:] = np.arange(params.flat.size)
+    tiled = np.concatenate([params[name].data.ravel() for name in ModelParams.param_shapes(TINY)])
+    assert np.array_equal(tiled, np.arange(params.flat.size))
+
+
+@pytest.mark.parametrize("config", [TINY, ModelConfig(feature_dim=3, d_model=12, n_heads=3,
+                                                      n_layers=3, d_ff=20)])
+def test_init_is_bit_equal_to_per_name_reference(config):
+    params = ModelParams(config, seed=33)
+    want = reference_init(config, 33)
+    assert params.names() == list(want)
+    for name, arr in want.items():
+        assert np.array_equal(params[name].data, arr), name
+    assert not ModelParams(config, seed=None).flat.any()
+
+
+def test_loaded_checkpoint_fills_flat_buffers_in_place(tmp_path):
+    params = tiny_params(seed=31)
+    state = AdamState(params, tau=2)
+    state.m[...], state.v[...] = 2.0 * params.flat, params.flat ** 2
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, None, {}, state)
+    ckpt = load_checkpoint(path)
+    loaded, moments = ckpt.params, ckpt.adam_moments
+    assert all(np.shares_memory(t.data, loaded.flat) for t in loaded.tensors.values())
+    for kind in ("m", "v"):
+        got = getattr(moments, kind)
+        assert got.shape == loaded.flat.shape and got.flags.c_contiguous
+        assert all(np.shares_memory(view, got) for view in loaded.views(got).values())
+        assert np.array_equal(got, getattr(state, kind))
+    assert np.array_equal(loaded.flat, params.flat) and moments.tau == 2
+
+
+def test_load_checkpoint_peak_memory_is_its_payload(tmp_path):
+    # arrays are read straight into the flat buffers, not read and then copied
+    params = ModelParams(ModelConfig(feature_dim=6, d_model=64, n_heads=2, n_layers=2), seed=32)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, FeatureStats(np.zeros(6), np.ones(6)), {},
+                    AdamState(params, tau=1))
+    payload = 8 * (3 * params.flat.size + 2 * 6)
+    tracemalloc.start()
+    try:
+        ckpt = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ckpt.adam_moments is not None
+    assert peak <= 1.1 * payload
+
+
 # -------------------------------------------------------- checkpoints
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -458,13 +516,13 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 def test_checkpoint_without_adam_skips_moments(tmp_path):
     params = tiny_params(seed=26)
-    moments = ({n: a + 1.0 for n, a in params.arrays().items()},
-               {n: a + 2.0 for n, a in params.arrays().items()}, 7)
+    moments = AdamState(params, tau=7)
+    moments.m[...], moments.v[...] = params.flat + 1.0, params.flat + 2.0
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, None, {"epochs_done": 1}, moments)
     full = load_checkpoint(path)
-    assert full.adam_moments[2] == 7
-    assert np.array_equal(full.adam_moments[1]["out_proj.w"], moments[1]["out_proj.w"])
+    assert full.adam_moments.tau == 7
+    assert np.array_equal(full.adam_moments.v, moments.v)
     lean = load_checkpoint(path, with_adam=False)
     assert lean.adam_moments is None and lean.stats is None
     for name in params.names():
@@ -478,5 +536,13 @@ def test_checkpoint_missing_array_names_file(tmp_path):
     del arrays["param.out_proj.b"]
     save_bundle(path, arrays, meta)
     with pytest.raises(DataError, match="lacks array 'param.out_proj.b'") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+def test_checkpoint_stats_of_another_width_names_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tiny_params(seed=28), FeatureStats(np.zeros(5), np.ones(5)), {})
+    with pytest.raises(DataError, match="'stats.mean' is <f8 \\[5\\]") as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value)

@@ -123,6 +123,20 @@ def test_load_bundle_reads_only_named_arrays(tmp_path):
     assert load_bundle(tmp_path / "x.bin", names=())[0] == {}
 
 
+def test_load_bundle_reads_into_caller_arrays(tmp_path):
+    path = tmp_path / "x.bin"
+    save_bundle(path, {"a": np.arange(3.0), "c": np.ones((2, 2))})
+    dest = np.zeros(7)
+    into = {"c": dest[3:].reshape(2, 2), "missing": np.zeros(1)}
+    arrays, _ = load_bundle(path, names={"a"}, into=into)
+    assert sorted(arrays) == ["a", "c"] and arrays["c"] is into["c"]
+    assert np.array_equal(dest, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    for wrong in (np.zeros((4,)), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(DataError, match="array 'c' is <f8 \\[2, 2\\]") as exc:
+            load_bundle(path, into={"c": wrong})
+        assert str(path) in str(exc.value)
+
+
 def test_cache_missing_array_names_file(tmp_path, scenes):
     fset = build_feature_set(scenes, WCFG, PG, SC)
     path = tmp_path / "cache.bin"

@@ -56,15 +56,22 @@ def small_params():
                        seed=0)
 
 
+def flat_of(params, named):
+    """A flat gradient holding each named array in its parameter's view."""
+    flat = np.zeros(params.flat.size)
+    for name, view in params.views(flat).items():
+        view[...] = named[name]
+    return flat
+
+
 def test_adam_zero_gradient_is_noop():
     params = small_params()
     before = {n: a.copy() for n, a in params.arrays().items()}
     state = AdamState(params)
-    grads = {n: np.zeros_like(a) for n, a in params.arrays().items()}
-    adam_step(params, grads, state, TrainConfig(epochs=1))
+    adam_step(params, np.zeros(params.flat.size), state, TrainConfig(epochs=1))
     for name, arr in params.arrays().items():
         assert np.array_equal(arr, before[name])
-        assert np.all(state.m[name] == 0) and np.all(state.v[name] == 0)
+    assert np.all(state.m == 0) and np.all(state.v == 0)
 
 
 def test_adam_first_step_magnitude_near_lr():
@@ -73,10 +80,10 @@ def test_adam_first_step_magnitude_near_lr():
     state = AdamState(params)
     cfg = TrainConfig(epochs=1, learning_rate=1e-3)
     g = 7.5
-    grads = {n: np.zeros_like(a) for n, a in params.arrays().items()}
+    grads = np.zeros(params.flat.size)
     name = "out_proj.b"
     before = params[name].data.copy()
-    grads[name] = np.array([g, 0.0])
+    params.views(grads)[name][...] = [g, 0.0]
     adam_step(params, grads, state, cfg)
     moved = before[0] - params[name].data[0]
     expected = cfg.learning_rate * g / (g + cfg.eps)
@@ -89,11 +96,11 @@ def test_adam_constant_gradient_is_monotone():
     state = AdamState(params)
     cfg = TrainConfig(epochs=1, learning_rate=1e-2)
     name = "out_proj.b"
-    grads = {n: np.zeros_like(a) for n, a in params.arrays().items()}
-    grads[name] = np.array([2.0, -2.0])
+    grads = np.zeros(params.flat.size)
+    params.views(grads)[name][...] = [2.0, -2.0]
     values = [params[name].data.copy()]
     for _ in range(4):
-        adam_step(params, {n: g.copy() for n, g in grads.items()}, state, cfg)
+        adam_step(params, grads.copy(), state, cfg)
         values.append(params[name].data.copy())
     steps = np.diff(np.stack(values), axis=0)
     assert np.all(steps[:, 0] < 0)  # positive gradient: strictly decreasing
@@ -107,16 +114,15 @@ def test_adam_vanishing_lr_is_identity():
     state = AdamState(params)
     cfg = TrainConfig(epochs=1, learning_rate=5e-324)
     before = {n: a.copy() for n, a in params.arrays().items()}
-    grads = {n: np.full_like(a, 0.3) for n, a in params.arrays().items()}
-    adam_step(params, grads, state, cfg)
+    adam_step(params, np.full(params.flat.size, 0.3), state, cfg)
     for name, arr in params.arrays().items():
         assert np.array_equal(arr, before[name])
 
 
 def test_adam_rejects_non_finite_gradient():
     params = small_params()
-    grads = {n: np.zeros_like(a) for n, a in params.arrays().items()}
-    grads["out_proj.b"] = np.array([np.nan, 0.0])
+    grads = np.zeros(params.flat.size)
+    params.views(grads)["out_proj.b"][...] = [np.nan, 0.0]
     with pytest.raises(DivergenceError):
         adam_step(params, grads, AdamState(params), TrainConfig(epochs=1))
 
@@ -129,13 +135,34 @@ def test_in_place_adam_is_bit_equal_to_textbook_update():
     for _ in range(6):
         grads = {n: rng.normal(scale=rng.uniform(1e-4, 10.0), size=a.shape)
                  for n, a in fast.arrays().items()}
-        adam_step(fast, {n: g.copy() for n, g in grads.items()}, fast_state, cfg)
+        adam_step(fast, flat_of(fast, grads), fast_state, cfg)
         reference_adam_step(slow, grads, slow_state, cfg)
     assert fast_state.tau == slow_state.tau == 6
     for name in fast.names():
         assert np.array_equal(fast[name].data, slow[name].data), name
-        assert np.array_equal(fast_state.m[name], slow_state.m[name]), name
-        assert np.array_equal(fast_state.v[name], slow_state.v[name]), name
+    assert np.array_equal(fast_state.m, slow_state.m)
+    assert np.array_equal(fast_state.v, slow_state.v)
+
+
+@pytest.mark.parametrize("slice_size", [7, 64])
+def test_adam_across_slices_is_bit_equal_to_textbook_update(monkeypatch, slice_size):
+    # slice sizes that cut through parameters and leave a short last slice
+    monkeypatch.setattr(training, "ADAM_SLICE", slice_size)
+    cfg = TrainConfig(epochs=1, learning_rate=3e-3, beta1=0.85, beta2=0.97, eps=1e-8)
+    fast, slow = small_params(), small_params()
+    assert fast.flat.size > 2 * slice_size and fast.flat.size % slice_size
+    fast_state, slow_state = AdamState(fast), AdamState(slow)
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        grad = rng.normal(scale=rng.uniform(1e-4, 10.0), size=fast.flat.size)
+        adam_step(fast, grad.copy(), fast_state, cfg)
+        reference_adam_step(slow, slow.views(grad), slow_state, cfg)
+    for mine, ref in ((fast.flat, slow.flat), (fast_state.m, slow_state.m),
+                      (fast_state.v, slow_state.v)):
+        assert np.array_equal(mine, ref)
+    grad[-1] = np.inf  # the last entry of the last parameter, in the last slice
+    with pytest.raises(DivergenceError, match="'out_proj.b'"):
+        adam_step(fast, grad, fast_state, cfg)
 
 
 # --------------------------------------------------------------- train
@@ -202,7 +229,7 @@ def test_heldout_loss_decreases_during_overfit(seed):
 def test_divergence_reports_epoch_and_batch():
     features, targets = constant_velocity_windows(n_windows=4)
     params = ModelParams(TINY, seed=7)
-    params.tensors["out_proj.b"] = Tensor(np.array([np.inf, 0.0]))
+    params["out_proj.b"].data[...] = np.array([np.inf, 0.0])
     cfg = TrainConfig(epochs=1, batch_size=2, seed=7, val_fraction=0.0)
     with pytest.raises(DivergenceError, match="epoch 0, batch 0"):
         train(params, features, targets, cfg)
@@ -296,9 +323,18 @@ def test_batched_loss_and_gradient_equal_per_window_mean(shape):
     # relative to the largest entry: key biases have a zero gradient up to
     # rounding (softmax ignores a shift shared by all keys)
     scale = max(np.max(np.abs(g)) for g in want.values())
-    for name, g in grads.items():
+    for name, g in params.views(grads).items():
         assert np.max(np.abs(g - want[name])) / scale <= 1e-12, name
     assert max(np.max(np.abs(want[n])) for n in want if n.endswith(".bk")) < 1e-12 * scale
+
+
+def test_batch_gradient_in_flat_layout_is_bit_equal_to_backward_dict():
+    features, targets = random_windows(3, *SHAPES["desk"], seed=41)
+    params = ModelParams(DESK, seed=42)
+    grad, _ = training._batch_gradients(params, features, targets)
+    want = backward(l2_loss(teacher_forced_offsets(params, features, targets), targets))
+    for name, view in params.views(grad).items():
+        assert np.array_equal(view, want[params[name]]), name
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
