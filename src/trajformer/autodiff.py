@@ -44,22 +44,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    # operator sugar; the module-level functions do the real work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -343,7 +327,7 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
 
 
 def _topo_order(seed: Tensor):
-    """Iterative post-order DFS; recursion would overflow on long decode tapes."""
+    """Iterative post-order DFS, so no tape is too deep for Python's recursion limit."""
     order = []
     visited = set()
     stack = [(seed, False)]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_run_config
-from .data import WindowConfig, write_tracks
+from .data import ADAPTERS, WindowConfig, write_tracks
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import cv_kalman_predict, emit_report, evaluate
 from .features import FeatureStats, PolarGridConfig, SemanticConfig
@@ -75,17 +75,21 @@ TRAIN_LOG_HEADER = ["epoch", "train_loss", "val_loss", "wall_seconds",
                     "grad_norm", "clipped_batches", "windows_per_s"]
 
 
-def _config_from_args(args) -> RunConfig:
-    return build_run_config(args.config, args.set or [])
-
-
-def _settings(cfg: RunConfig) -> dict:
-    return settings_record(cfg.window, cfg.grid, cfg.semantic)
-
-
 def _checkpoint_meta(cfg: RunConfig, train_dataset: str, epochs_done: int) -> dict:
     return {"train_dataset": train_dataset, "epochs_done": epochs_done,
-            "context": cfg.context, **_settings(cfg)}
+            "context": cfg.context, **settings_record(cfg.window, cfg.grid, cfg.semantic)}
+
+
+def _require_settings(meta: dict, cfg: RunConfig, source) -> None:
+    """Hold ``source``, a feature cache or checkpoint with metadata ``meta``, to
+    the run's window, grid and semantic settings: a section it does not record
+    is a DataError, one that differs a ConfigError."""
+    expected = settings_record(cfg.window, cfg.grid, cfg.semantic)
+    if missing := [name for name in expected if name not in meta]:
+        raise DataError(f"{source}: records no {', '.join(missing)} settings")
+    if differing := [name for name, value in expected.items() if meta[name] != value]:
+        raise ConfigError(f"{source} was built with other {', '.join(differing)} settings "
+                          "than the run config")
 
 
 # ------------------------------------------------------------ commands
@@ -124,7 +128,7 @@ def _preprocess_root(cfg: RunConfig, root: str, tag: str) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = build_run_config(args.config, args.set)
     if not cfg.train_root:
         raise ConfigError("data.train_root is required for preprocess")
     with _OutputLock(cfg.out_dir):
@@ -134,49 +138,44 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _cache_matches(meta: dict, cfg: RunConfig) -> bool:
-    return all(meta.get(name) == value for name, value in _settings(cfg).items())
-
-
 def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = build_run_config(args.config, args.set)
     cache_path = cfg.out_dir / "cache" / "train_features.bin"
     if not cache_path.exists():
         raise DataError(f"feature cache {cache_path} not found; run preprocess first")
     fset, cache_meta = load_feature_cache(cache_path)
-    if not _cache_matches(cache_meta, cfg):
-        raise ConfigError(f"feature cache {cache_path} was built with different settings")
+    _require_settings(cache_meta, cfg, cache_path)
     if len(fset) == 0:
-        raise DataError("feature cache holds no windows")
+        raise DataError(f"feature cache {cache_path} holds no windows")
+
+    start_epoch, state = 0, None
+    if args.resume:
+        ckpt = _runnable_checkpoint(args.resume, with_adam=True)
+        _require_settings(ckpt.meta, cfg, args.resume)
+        if ckpt.params.config != cfg.model:
+            raise ConfigError(f"{args.resume}: checkpoint model config does not match run config")
+        params, stats, state = ckpt.params, ckpt.stats, ckpt.adam_moments
+        start_epoch = ckpt.meta.get("epochs_done")
+        if type(start_epoch) is not int or start_epoch < 0:
+            raise DataError(f"{args.resume}: checkpoint meta has no valid epochs_done "
+                            f"({start_epoch!r})")
+    remaining = cfg.train.epochs - start_epoch
+    if remaining <= 0:
+        print(f"nothing to do: {start_epoch} epochs already trained")
+        return 0
 
     features = fset.model_features(cfg.context)
     targets = fset.target_offsets
     del fset  # only the standardized features are kept for training
+    if not args.resume:
+        params = ModelParams(cfg.model, seed=cfg.train.seed)
+        stats = FeatureStats.fit([features])
+    standardized = stats.apply(features)
+    del features
+    run_cfg = replace(cfg.train, epochs=remaining)
     train_dataset = Path(cfg.train_root).name if cfg.train_root else "train"
 
     with _OutputLock(cfg.out_dir):
-        start_epoch = 0
-        state = None
-        if args.resume:
-            ckpt = _runnable_checkpoint(args.resume, with_adam=True)
-            if ckpt.params.config != cfg.model:
-                raise ConfigError("resume checkpoint config does not match run config")
-            params, stats, state = ckpt.params, ckpt.stats, ckpt.adam_moments
-            start_epoch = ckpt.meta.get("epochs_done")
-            if type(start_epoch) is not int or start_epoch < 0:
-                raise DataError(f"{args.resume}: checkpoint meta has no valid epochs_done "
-                                f"({start_epoch!r})")
-        else:
-            params = ModelParams(cfg.model, seed=cfg.train.seed)
-            stats = FeatureStats.fit([features])
-        standardized = stats.apply(features)
-        del features
-        remaining = cfg.train.epochs - start_epoch
-        if remaining <= 0:
-            print(f"nothing to do: {start_epoch} epochs already trained")
-            return 0
-        run_cfg = replace(cfg.train, epochs=remaining)
-
         # the whole log is kept here and replaced atomically after each epoch;
         # a resumed run's earlier rows are widened to the current header
         log_path = cfg.out_dir / "train_log.csv"
@@ -212,7 +211,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = build_run_config(args.config, args.set)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.self_test_oracle and "oracle" not in methods:
         methods.append("oracle")
@@ -239,11 +238,11 @@ def cmd_evaluate(args) -> int:
         if bool(ckpt.meta.get("context")) != context:
             raise ConfigError(f"{flag} was trained {'without' if context else 'with'} "
                               "context features")
-        _require_window_match(ckpt, cfg)
+        _require_settings(ckpt.meta, cfg, path)
         train_dataset = train_dataset or ckpt.meta.get("train_dataset")
         checkpoints[method] = (ckpt, context)
     if not methods:
-        raise ConfigError("no methods requested")
+        raise ConfigError(f"no methods requested (--methods {args.methods!r})")
 
     with _OutputLock(cfg.out_dir):
         _, fset = load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)
@@ -277,11 +276,6 @@ def _runnable_checkpoint(path, with_adam: bool = False) -> Checkpoint:
     if ckpt.stats is None:
         raise DataError(f"{path}: checkpoint holds no feature standardization stats")
     return ckpt
-
-
-def _require_window_match(ckpt: Checkpoint, cfg: RunConfig) -> None:
-    if ckpt.meta.get("window") != _settings(cfg)["window"]:
-        raise ConfigError("checkpoint window settings do not match the run config")
 
 
 def cmd_predict(args) -> int:
@@ -374,7 +368,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--root", required=True, help="dataset root to predict on")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--adapter", default="canonical")
+    p.add_argument("--adapter", default="canonical", choices=list(ADAPTERS))
     p.add_argument("--plot", action="store_true", help="emit one SVG per window")
     p.set_defaults(func=cmd_predict)
     return parser

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .data import WindowConfig, read_key_values
+from .data import ADAPTERS, WindowConfig, read_key_values
 from .errors import ConfigError
 from .features import PolarGridConfig, SemanticConfig, feature_dim
 from .model import ModelConfig
@@ -149,8 +149,9 @@ def build_run_config(path=None, overrides: list[str] | None = None) -> RunConfig
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = value.strip()
 
-    if values["data.adapter"] not in ("canonical", "dut", "ind"):
-        raise ConfigError(f"data.adapter must be canonical/dut/ind, got {values['data.adapter']!r}")
+    if values["data.adapter"] not in ADAPTERS:
+        raise ConfigError(f"data.adapter must be {'/'.join(ADAPTERS)}, "
+                          f"got {values['data.adapter']!r}")
 
     context = _to_bool(values["context.enabled"], "context.enabled")
     try:

@@ -1,17 +1,12 @@
 """Trajectory ingestion: track parsing, resampling and window extraction.
 
-Canonical CSV schema (header required, UTF-8, '.' decimal point):
-
-    scene_id,agent_id,agent_type,t,x_m,y_m,x_px,y_px
-
-Two adapter schemas normalize the drone-recorded datasets into this form:
-
-    dut:  id,frame,label,x_est,y_est,vx_est,vy_est,x_px,y_px   (23.98 FPS)
-    ind:  trackId,frame,xCenter,yCenter,xVelocity,yVelocity,class  (25 FPS)
-
-Velocity columns are read and discarded; offsets are recomputed from
-positions downstream. The ``ind`` schema carries no pixel coordinates;
-they are attached later from the scene's meters_per_pixel.
+Tracks files are UTF-8 CSV with a header and '.' decimal points. ``ADAPTERS``
+declares every schema the loader reads: the canonical one, which
+``write_tracks`` writes, and the ``dut`` and ``ind`` schemas of the
+drone-recorded datasets. Velocity columns are required but discarded;
+offsets are recomputed from positions downstream. The ``ind`` schema carries
+no pixel coordinates; they are attached later from the scene's
+meters_per_pixel.
 """
 
 from __future__ import annotations
@@ -29,18 +24,42 @@ from .serialize import atomic_open
 
 AGENT_TYPES = ("pedestrian", "vehicle", "cyclist")
 
-DUT_FPS = 23.98
-IND_FPS = 25.0
 
-_IND_CLASS = {
-    "pedestrian": "pedestrian",
-    "car": "vehicle",
-    "truck_bus": "vehicle",
-    "bicycle": "cyclist",
+@dataclass(frozen=True)
+class TrackSchema:
+    """The columns a tracks-file schema must have and those each ``AgentTrack``
+    field is read from. Times are ``time / fps``; type labels are looked up in
+    ``types``, after ``strip().lower()`` when ``fold_labels``."""
+    header: tuple[str, ...]
+    scene: str | None                # scene-id column; None: the scene directory's name
+    agent: str
+    type: str
+    types: dict[str, str]            # label -> agent type
+    fold_labels: bool
+    time: str
+    fps: float
+    meters: tuple[str, str]
+    pixels: tuple[str, str] | None   # None: attached later from meters_per_pixel
+
+
+# every tracks schema the loaders accept, by adapter name
+ADAPTERS = {
+    "canonical": TrackSchema(
+        ("scene_id", "agent_id", "agent_type", "t", "x_m", "y_m", "x_px", "y_px"),
+        "scene_id", "agent_id", "agent_type", {t: t for t in AGENT_TYPES}, False,
+        "t", 1.0, ("x_m", "y_m"), ("x_px", "y_px")),
+    "dut": TrackSchema(
+        ("id", "frame", "label", "x_est", "y_est", "vx_est", "vy_est", "x_px", "y_px"),
+        None, "id", "label",
+        {"pedestrian": "pedestrian", "ped": "pedestrian", "vehicle": "vehicle", "car": "vehicle"},
+        True, "frame", 23.98, ("x_est", "y_est"), ("x_px", "y_px")),
+    "ind": TrackSchema(
+        ("trackId", "frame", "xCenter", "yCenter", "xVelocity", "yVelocity", "class"),
+        None, "trackId", "class",
+        {"pedestrian": "pedestrian", "car": "vehicle", "truck_bus": "vehicle",
+         "bicycle": "cyclist"},
+        True, "frame", 25.0, ("xCenter", "yCenter"), None),
 }
-_DUT_LABEL = {"pedestrian": "pedestrian", "ped": "pedestrian", "vehicle": "vehicle", "car": "vehicle"}
-
-CANONICAL_HEADER = ["scene_id", "agent_id", "agent_type", "t", "x_m", "y_m", "x_px", "y_px"]
 
 
 @dataclass
@@ -110,65 +129,46 @@ def _parse_float(value: str, path, row_no: int, col: str) -> float:
 
 
 def load_tracks(path, adapter: str = "canonical") -> tuple[list[AgentTrack], str]:
-    """Parse one tracks file into per-agent tracks plus the scene id.
-
-    Rows must be in strictly increasing time order per agent (interleaving
-    of agents is fine).
-    """
-    if adapter not in ("canonical", "dut", "ind"):
+    """Parse one tracks file of an ``ADAPTERS`` schema into per-agent tracks
+    plus the scene id. Rows must be in strictly increasing time order per
+    agent (interleaving of agents is fine)."""
+    schema = ADAPTERS.get(adapter)
+    if schema is None:
         raise DataError(f"unknown adapter {adapter!r}")
     path = Path(path)
     if not path.is_file():
         raise DataError(f"tracks file {path} does not exist")
+    (mx, my), pixels = schema.meters, schema.pixels
     rows: dict[str, dict] = {}
     scene_id: str | None = None
     with open(path, newline="", encoding="utf-8") as f:
         records = _read_csv(path, f)
         header = next(records)
-        _check_header(path, adapter, header)
+        missing = [c for c in schema.header if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing} for adapter {adapter!r}")
         for row_no, rec in enumerate(records, start=2):
             if None in rec.values():
                 raise DataError(f"{path} row {row_no}: fewer than {len(header)} columns")
-            if adapter == "canonical":
-                sid = rec["scene_id"]
+            if schema.scene is not None:
+                sid = rec[schema.scene]
                 if scene_id is None:
                     scene_id = sid
                 elif sid != scene_id:
                     raise DataError(f"{path} row {row_no}: multiple scene ids ({scene_id!r}, {sid!r})")
-                agent_id = rec["agent_id"]
-                agent_type = rec["agent_type"]
-                if agent_type not in AGENT_TYPES:
-                    raise DataError(f"{path} row {row_no}: unknown agent_type {agent_type!r}")
-                t = _parse_float(rec["t"], path, row_no, "t")
-                xy_m = (_parse_float(rec["x_m"], path, row_no, "x_m"),
-                        _parse_float(rec["y_m"], path, row_no, "y_m"))
-                xy_px = (_parse_float(rec["x_px"], path, row_no, "x_px"),
-                         _parse_float(rec["y_px"], path, row_no, "y_px"))
-            elif adapter == "dut":
-                agent_id = rec["id"]
-                label = rec["label"].strip().lower()
-                if label not in _DUT_LABEL:
-                    raise DataError(f"{path} row {row_no}: unknown label {rec['label']!r}")
-                agent_type = _DUT_LABEL[label]
-                t = _parse_float(rec["frame"], path, row_no, "frame") / DUT_FPS
-                xy_m = (_parse_float(rec["x_est"], path, row_no, "x_est"),
-                        _parse_float(rec["y_est"], path, row_no, "y_est"))
-                xy_px = (_parse_float(rec["x_px"], path, row_no, "x_px"),
-                         _parse_float(rec["y_px"], path, row_no, "y_px"))
-            else:  # ind
-                agent_id = rec["trackId"]
-                cls = rec["class"].strip().lower()
-                if cls not in _IND_CLASS:
-                    raise DataError(f"{path} row {row_no}: unknown class {rec['class']!r}")
-                agent_type = _IND_CLASS[cls]
-                t = _parse_float(rec["frame"], path, row_no, "frame") / IND_FPS
-                xy_m = (_parse_float(rec["xCenter"], path, row_no, "xCenter"),
-                        _parse_float(rec["yCenter"], path, row_no, "yCenter"))
-                xy_px = None
+            agent_id = rec[schema.agent]
+            label = rec[schema.type]
+            agent_type = schema.types.get(label.strip().lower() if schema.fold_labels else label)
+            if agent_type is None:
+                raise DataError(f"{path} row {row_no}: unknown {schema.type} {label!r}")
+            t = _parse_float(rec[schema.time], path, row_no, schema.time) / schema.fps
+            xy_m = (_parse_float(rec[mx], path, row_no, mx), _parse_float(rec[my], path, row_no, my))
+            if pixels is not None:
+                px, py = pixels
+                xy_px = (_parse_float(rec[px], path, row_no, px),
+                         _parse_float(rec[py], path, row_no, py))
 
-            bucket = rows.setdefault(
-                agent_id, {"type": agent_type, "t": [], "m": [], "px": [], "last_row": None}
-            )
+            bucket = rows.setdefault(agent_id, {"type": agent_type, "t": [], "m": [], "px": []})
             if bucket["type"] != agent_type:
                 raise DataError(f"{path} row {row_no}: agent {agent_id} changes type")
             if bucket["t"] and t <= bucket["t"][-1]:
@@ -178,12 +178,12 @@ def load_tracks(path, adapter: str = "canonical") -> tuple[list[AgentTrack], str
                 )
             bucket["t"].append(t)
             bucket["m"].append(xy_m)
-            if xy_px is not None:
+            if pixels is not None:
                 bucket["px"].append(xy_px)
 
     if scene_id is None:
-        # canonical carries the scene id in-file; native files take it from the scene dir
-        scene_id = "" if adapter == "canonical" else path.parent.name
+        # a schema with a scene column carries the id in-file; others take the scene dir's
+        scene_id = "" if schema.scene is not None else path.parent.name
     tracks = []
     for agent_id, bucket in rows.items():
         px = np.array(bucket["px"]) if bucket["px"] else None
@@ -204,23 +204,12 @@ def _read_csv(path, f):
                         f"({exc})") from None
 
 
-def _check_header(path, adapter: str, header: list[str]) -> None:
-    required = {
-        "canonical": CANONICAL_HEADER,
-        "dut": ["id", "frame", "label", "x_est", "y_est", "vx_est", "vy_est", "x_px", "y_px"],
-        "ind": ["trackId", "frame", "xCenter", "yCenter", "xVelocity", "yVelocity", "class"],
-    }[adapter]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing} for adapter {adapter!r}")
-
-
 def write_tracks(path, tracks: list[AgentTrack], scene_id: str) -> None:
     """Write canonical CSV; floats use shortest round-trip formatting. The
     file is replaced atomically, so a failure leaves the previous one."""
     with atomic_open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(CANONICAL_HEADER)
+        writer.writerow(ADAPTERS["canonical"].header)
         for track in tracks:
             if track.xy_px is None:
                 raise DataError(f"agent {track.agent_id}: pixel coordinates not attached")
@@ -393,7 +382,7 @@ def load_scene_dir(scene_dir, adapter: str = "canonical") -> Scene:
     scene_map = load_scene_map(scene_dir / meta["label_map"], mpp, scene_id=meta["scene_id"])
     tracks_path = scene_dir / meta.get("tracks", "tracks.csv")
     tracks, file_scene_id = load_tracks(tracks_path, adapter)
-    if adapter == "canonical" and file_scene_id and file_scene_id != meta["scene_id"]:
+    if ADAPTERS[adapter].scene is not None and file_scene_id and file_scene_id != meta["scene_id"]:
         raise DataError(
             f"{tracks_path}: scene id {file_scene_id!r} does not match meta {meta['scene_id']!r}"
         )

@@ -185,13 +185,14 @@ def build_features(
 @dataclass
 class FeatureStats:
     mean: np.ndarray  # (F,)
-    std: np.ndarray   # (F,), floored at 1e-8
+    std: np.ndarray   # (F,), 1.0 (centred only) where the training std is below 1e-8
 
     @classmethod
     def fit(cls, feature_blocks: list[np.ndarray]) -> "FeatureStats":
         """Per-dimension statistics over all steps of the training windows."""
         stacked = np.concatenate([np.asarray(b).reshape(-1, b.shape[-1]) for b in feature_blocks])
-        return cls(stacked.mean(axis=0), np.maximum(stacked.std(axis=0), 1e-8))
+        std = stacked.std(axis=0)
+        return cls(stacked.mean(axis=0), np.where(std < 1e-8, 1.0, std))
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)

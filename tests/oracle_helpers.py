@@ -6,16 +6,18 @@ the package. Some references reuse package parts that other oracles check:
 the decode and training references run the gradient-checked teacher-forced
 layers on the autodiff tape one window at a time, and the window-feature
 reference calls the polar grid and semantic histogram kernels that
-``brute_force_grid`` and ``brute_force_semantics`` pin down.
+``brute_force_grid`` and ``brute_force_semantics`` pin down. The tracks
+loader reference shares only the package's CSV reader and float parser.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
 from trajformer import autodiff as ad
-from trajformer.data import extract_windows
-from trajformer.errors import DivergenceError
+from trajformer.data import AGENT_TYPES, AgentTrack, _parse_float, _read_csv, extract_windows
+from trajformer.errors import DataError, DivergenceError
 from trajformer.features import compute_offsets, feature_dim, polar_occupancy, semantic_histogram
 from trajformer.model import (ModelParams, decoder_forward, embed_source, embed_target,
                               encoder_forward, project_output, teacher_forced_offsets)
@@ -261,3 +263,94 @@ def reference_save_bundle(path, arrays, meta=None):
         f.write(header)
         for blob in blobs:
             f.write(blob)
+
+
+# the tracks loader with one hand-written branch per adapter, against which the
+# table-driven ``data.load_tracks`` is compared
+_REFERENCE_HEADERS = {
+    "canonical": ["scene_id", "agent_id", "agent_type", "t", "x_m", "y_m", "x_px", "y_px"],
+    "dut": ["id", "frame", "label", "x_est", "y_est", "vx_est", "vy_est", "x_px", "y_px"],
+    "ind": ["trackId", "frame", "xCenter", "yCenter", "xVelocity", "yVelocity", "class"],
+}
+_REFERENCE_IND_CLASS = {"pedestrian": "pedestrian", "car": "vehicle", "truck_bus": "vehicle",
+                        "bicycle": "cyclist"}
+_REFERENCE_DUT_LABEL = {"pedestrian": "pedestrian", "ped": "pedestrian", "vehicle": "vehicle",
+                        "car": "vehicle"}
+
+
+def reference_load_tracks(path, adapter="canonical"):
+    """``data.load_tracks`` with one hand-written branch per adapter."""
+    if adapter not in ("canonical", "dut", "ind"):
+        raise DataError(f"unknown adapter {adapter!r}")
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"tracks file {path} does not exist")
+    rows = {}
+    scene_id = None
+    with open(path, newline="", encoding="utf-8") as f:
+        records = _read_csv(path, f)
+        header = next(records)
+        missing = [c for c in _REFERENCE_HEADERS[adapter] if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing} for adapter {adapter!r}")
+        for row_no, rec in enumerate(records, start=2):
+            if None in rec.values():
+                raise DataError(f"{path} row {row_no}: fewer than {len(header)} columns")
+            if adapter == "canonical":
+                sid = rec["scene_id"]
+                if scene_id is None:
+                    scene_id = sid
+                elif sid != scene_id:
+                    raise DataError(f"{path} row {row_no}: multiple scene ids ({scene_id!r}, {sid!r})")
+                agent_id = rec["agent_id"]
+                agent_type = rec["agent_type"]
+                if agent_type not in AGENT_TYPES:
+                    raise DataError(f"{path} row {row_no}: unknown agent_type {agent_type!r}")
+                t = _parse_float(rec["t"], path, row_no, "t")
+                xy_m = (_parse_float(rec["x_m"], path, row_no, "x_m"),
+                        _parse_float(rec["y_m"], path, row_no, "y_m"))
+                xy_px = (_parse_float(rec["x_px"], path, row_no, "x_px"),
+                         _parse_float(rec["y_px"], path, row_no, "y_px"))
+            elif adapter == "dut":
+                agent_id = rec["id"]
+                label = rec["label"].strip().lower()
+                if label not in _REFERENCE_DUT_LABEL:
+                    raise DataError(f"{path} row {row_no}: unknown label {rec['label']!r}")
+                agent_type = _REFERENCE_DUT_LABEL[label]
+                t = _parse_float(rec["frame"], path, row_no, "frame") / 23.98
+                xy_m = (_parse_float(rec["x_est"], path, row_no, "x_est"),
+                        _parse_float(rec["y_est"], path, row_no, "y_est"))
+                xy_px = (_parse_float(rec["x_px"], path, row_no, "x_px"),
+                         _parse_float(rec["y_px"], path, row_no, "y_px"))
+            else:  # ind
+                agent_id = rec["trackId"]
+                cls = rec["class"].strip().lower()
+                if cls not in _REFERENCE_IND_CLASS:
+                    raise DataError(f"{path} row {row_no}: unknown class {rec['class']!r}")
+                agent_type = _REFERENCE_IND_CLASS[cls]
+                t = _parse_float(rec["frame"], path, row_no, "frame") / 25.0
+                xy_m = (_parse_float(rec["xCenter"], path, row_no, "xCenter"),
+                        _parse_float(rec["yCenter"], path, row_no, "yCenter"))
+                xy_px = None
+
+            bucket = rows.setdefault(agent_id, {"type": agent_type, "t": [], "m": [], "px": []})
+            if bucket["type"] != agent_type:
+                raise DataError(f"{path} row {row_no}: agent {agent_id} changes type")
+            if bucket["t"] and t <= bucket["t"][-1]:
+                raise DataError(
+                    f"{path} row {row_no}: non-monotone timestamp for agent {agent_id} "
+                    f"({t} after {bucket['t'][-1]})"
+                )
+            bucket["t"].append(t)
+            bucket["m"].append(xy_m)
+            if xy_px is not None:
+                bucket["px"].append(xy_px)
+
+    if scene_id is None:
+        scene_id = "" if adapter == "canonical" else path.parent.name
+    tracks = []
+    for agent_id, bucket in rows.items():
+        px = np.array(bucket["px"]) if bucket["px"] else None
+        tracks.append(AgentTrack(agent_id, bucket["type"], np.array(bucket["t"]),
+                                 np.array(bucket["m"]), px))
+    return tracks, scene_id

@@ -14,6 +14,7 @@ from trajformer.cli import main
 from trajformer.config import build_run_config
 from trajformer.evaluation import load_report
 from trajformer.model import load_checkpoint, save_checkpoint
+from trajformer.serialize import load_bundle, save_bundle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -417,3 +418,161 @@ def test_failed_log_write_keeps_previous_log(tmp_path, dataset, monkeypatch):
         run("train", *desk_args(dataset, out, ["train.epochs=3"]))
     assert log.read_bytes() == before
     assert not (out / "train_log.csv.tmp").exists()
+
+
+# ------------------------------------------- settings of caches and checkpoints
+
+def snapshot(root):
+    """Every file under ``root`` with its bytes and mtime, to show nothing was written."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in sorted(root.rglob("*"))
+            if p.is_file()} if root.exists() else None
+
+
+OTHER_SETTINGS = {"window": ["window.stride=3"], "grid": ["grid.threshold_px=16"],
+                  "semantic": ["semantic.k=2"],
+                  "grid+semantic": ["grid.threshold_px=16", "semantic.k=2"]}
+
+
+@pytest.mark.parametrize("sections", list(OTHER_SETTINGS))
+@pytest.mark.parametrize("source", ["cache", "resume", "evaluate"])
+def test_other_settings_exit_1_naming_file_and_sections(tmp_path, dataset, capsys, source,
+                                                        sections):
+    out = train_pipeline(tmp_path, dataset)
+    other = OTHER_SETTINGS[sections]
+    ckpt = out / "model.ckpt"
+    if source == "cache":
+        target, named = out, out / "cache" / "train_features.bin"
+        argv = ["train", *desk_args(dataset, out, other)]
+    elif source == "resume":  # a cache of the new settings, a checkpoint of the old
+        target, named = tmp_path / "resumed", ckpt
+        assert run("preprocess", *desk_args(dataset, target, other)) == 0
+        argv = ["train", *desk_args(dataset, target, [*other, "train.epochs=3"]),
+                "--resume", str(ckpt)]
+    else:
+        target, named = tmp_path / "scored", ckpt
+        argv = ["evaluate", *desk_args(dataset, target, other), "--test-root", str(dataset),
+                "--checkpoint", str(ckpt), "--allow-same-dataset"]
+    before = snapshot(target)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert str(named) in err
+    assert f"other {sections.replace('+', ', ')} settings" in err
+    assert snapshot(target) == before
+
+
+@pytest.mark.parametrize("section", ["window", "grid", "semantic"])
+@pytest.mark.parametrize("source", ["cache", "resume", "evaluate"])
+def test_missing_settings_exit_2_naming_file(tmp_path, dataset, capsys, source, section):
+    out = train_pipeline(tmp_path, dataset)
+    bad = tmp_path / "bad.bin"
+    if source == "cache":
+        cache = out / "cache" / "train_features.bin"
+        arrays, meta = load_bundle(cache)
+        save_bundle(cache, arrays, {k: v for k, v in meta.items() if k != section})
+        bad, argv = cache, ["train", *desk_args(dataset, out)]
+    else:
+        ckpt = load_checkpoint(out / "model.ckpt")
+        dropped = (section, "kind", "checkpoint_version", "config", "adam_tau")  # re-added on save
+        save_checkpoint(bad, ckpt.params, ckpt.stats,
+                        {k: v for k, v in ckpt.meta.items() if k not in dropped}, ckpt.adam_moments)
+        argv = (["train", *desk_args(dataset, out, ["train.epochs=3"]), "--resume", str(bad)]
+                if source == "resume" else
+                ["evaluate", *desk_args(dataset, out), "--test-root", str(dataset),
+                 "--checkpoint", str(bad), "--allow-same-dataset"])
+    before = snapshot(out)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert f"{bad}: records no {section} settings" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
+def test_resume_with_matching_settings_keeps_the_stats(tmp_path, dataset):
+    out = train_pipeline(tmp_path, dataset)
+    first = load_checkpoint(out / "model.ckpt").stats
+    assert run("train", *desk_args(dataset, out, ["train.epochs=3"]),
+               "--resume", str(out / "model.ckpt")) == 0
+    resumed = load_checkpoint(out / "model.ckpt")
+    assert resumed.meta["epochs_done"] == 3
+    assert np.array_equal(resumed.stats.mean, first.mean)
+    assert np.array_equal(resumed.stats.std, first.std)
+    assert np.any(first.std == 1.0)  # columns constant in training are centred only
+
+
+# ------------------------------------------------------------- guards
+
+@pytest.mark.parametrize("extra, named", [
+    (["--set", "data.train_root="], "data.train_root"),
+    (["--set", "data.adapter=bogus"], "'bogus'"),
+    (["--set", "eval.horizons=,"], "eval.horizons"),
+    (["--set", "data.test_root=absent_root"], "'absent_root'"),
+    (["--set", "window.delta"], "'window.delta'"),
+    (["--set", "window.deltas=3"], "'window.deltas'"),
+], ids=["no_train_root", "unknown_adapter", "no_horizons", "absent_test_root",
+        "set_without_equals", "unknown_key"])
+def test_preprocess_guards_exit_1_and_write_nothing(tmp_path, dataset, capsys, extra, named):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("preprocess", *desk_args(dataset, out), *extra) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["empty_cache", "other_model", "nothing_to_do"])
+def test_train_guards_write_nothing(tmp_path, dataset, capsys, case):
+    out = train_pipeline(tmp_path, dataset)
+    ckpt = str(out / "model.ckpt")
+    if case == "empty_cache":  # windows longer than every track
+        assert run("preprocess", *desk_args(dataset, out, ["window.delta=500"])) == 0
+        argv, code = desk_args(dataset, out, ["window.delta=500"]), 2
+        named = f"{out / 'cache' / 'train_features.bin'} holds no windows"
+    elif case == "other_model":
+        argv, code = [*desk_args(dataset, out, ["model.d_model=16"]), "--resume", ckpt], 1
+        named = ckpt
+    else:
+        argv, code, named = [*desk_args(dataset, out), "--resume", ckpt], 0, "2 epochs"
+    before = snapshot(out)
+    capsys.readouterr()
+    assert run("train", *argv) == code
+    printed = capsys.readouterr()
+    assert named in printed.err + printed.out
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("case", ["bad_methods", "no_test_root", "absent_test_root",
+                                  "missing_flag", "context_mismatch", "no_methods"])
+def test_evaluate_guards_exit_1_and_write_nothing(tmp_path, dataset, capsys, case):
+    out = train_pipeline(tmp_path, dataset)
+    ckpt = str(out / "model.ckpt")
+    target = tmp_path / "scored"
+    argv, named = {
+        "bad_methods": (["--methods", "context_tf,bogus", "--checkpoint", ckpt], "'bogus'"),
+        "no_test_root": ([], "--test-root"),
+        "absent_test_root": (["--test-root", str(tmp_path / "absent")], str(tmp_path / "absent")),
+        "missing_flag": (["--methods", "vanilla_tf", "--checkpoint", ckpt],
+                         "--vanilla-checkpoint"),
+        "context_mismatch": (["--methods", "vanilla_tf", "--vanilla-checkpoint", ckpt],
+                             "--vanilla-checkpoint"),
+        "no_methods": (["--methods", ","], "--methods ','"),
+    }[case]
+    if case not in ("no_test_root", "absent_test_root"):
+        argv += ["--test-root", str(dataset), "--allow-same-dataset"]
+    capsys.readouterr()
+    assert run("evaluate", *desk_args(dataset, target), *argv) == 1
+    assert named in capsys.readouterr().err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("case", ["absent_root", "unknown_adapter"])
+def test_predict_guards_exit_1_and_write_nothing(tmp_path, dataset, capsys, case):
+    out = train_pipeline(tmp_path, dataset)
+    root, extra, named = {
+        "absent_root": (tmp_path / "absent", [], str(tmp_path / "absent")),
+        "unknown_adapter": (dataset, ["--adapter", "bogus"], "'bogus'"),
+    }[case]
+    pred_dir = tmp_path / "pred"
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(root),
+               "--out", str(pred_dir), *extra) == 1
+    assert named in capsys.readouterr().err
+    assert not pred_dir.exists()

@@ -1,4 +1,6 @@
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -333,6 +335,61 @@ def test_png_roundtrip_and_pillow_cross_check(tmp_path):
     PIL.fromarray(pixels, mode="L").save(theirs)  # exercises real filter choices
     assert np.array_equal(read_png_gray(theirs), pixels)
     assert np.array_equal(np.asarray(PIL.open(ours)), pixels)
+
+
+def spec_filter_row(ftype, row, prev, ties):
+    """One PNG scanline filtered as the PNG specification (section 9.2) defines
+    it, with a = left, b = up, c = upper-left, and 0 beyond the left edge.
+    Paeth ties between predictors are counted into ``ties``."""
+    out = bytearray([ftype])
+    for x in range(len(row)):
+        a = row[x - 1] if x else 0
+        b = prev[x]
+        c = prev[x - 1] if x else 0
+        if ftype == 0:
+            pred = 0
+        elif ftype == 1:
+            pred = a
+        elif ftype == 2:
+            pred = b
+        elif ftype == 3:
+            pred = (a + b) // 2
+        else:
+            p = a + b - c
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            ties[0] += pa == pb or pa == pc or pb == pc
+            pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+        out.append((row[x] - pred) % 256)
+    return bytes(out)
+
+
+def write_filtered_png(path, pixels, filters, ties):
+    def chunk(kind, payload):
+        return (struct.pack(">I", len(payload)) + kind + payload
+                + struct.pack(">I", zlib.crc32(kind + payload)))
+
+    rows, prev = [], [0] * pixels.shape[1]
+    for ftype, row in zip(filters, pixels.tolist()):
+        rows.append(spec_filter_row(ftype, row, prev, ties))
+        prev = row
+    ihdr = struct.pack(">IIBBBBB", pixels.shape[1], pixels.shape[0], 8, 0, 0, 0, 0)
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+                     + chunk(b"IDAT", zlib.compress(b"".join(rows))) + chunk(b"IEND", b""))
+
+
+def test_png_decoder_undoes_every_filter_type(tmp_path):
+    rng = np.random.default_rng(11)
+    ties, used = [0], set()
+    for i in range(30):
+        h, w = rng.integers(1, 12), rng.integers(1, 12)
+        top = [6, 256, 2][i % 3]  # label maps, full range, and flat images full of ties
+        pixels = rng.integers(0, top, size=(h, w)).astype(np.uint8)
+        filters = rng.integers(0, 5, size=h)
+        used.update(filters.tolist())
+        path = tmp_path / f"f{i}.png"
+        write_filtered_png(path, pixels, filters, ties)
+        assert np.array_equal(read_png_gray(path), pixels), (i, filters)
+    assert used == {0, 1, 2, 3, 4} and ties[0] > 0
 
 
 def test_pgm_ascii_variant(tmp_path):

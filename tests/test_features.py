@@ -245,6 +245,17 @@ def test_standardize_zero_variance_dimension():
     assert np.array_equal(out, np.zeros((8, 2)))
 
 
+def test_standardize_constant_columns_are_centred_only():
+    rng = np.random.default_rng(9)
+    block = np.column_stack([rng.normal(size=40), np.zeros(40), np.full(40, 0.25),
+                             np.full(40, 3.0)])
+    stats = FeatureStats.fit([block])
+    assert np.array_equal(stats.std[1:], np.ones(3))
+    assert np.array_equal(stats.apply(block)[:, 1:], np.zeros((40, 3)))
+    held_out = block + 0.5  # where training never varied, held-out data is only shifted
+    assert np.array_equal(stats.apply(held_out)[:, 1:], np.full((40, 3), 0.5))
+
+
 def test_standardize_roundtrip():
     rng = np.random.default_rng(8)
     blocks = [rng.normal(size=(7, 4)) for _ in range(5)]

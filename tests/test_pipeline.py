@@ -6,7 +6,7 @@ from oracle_helpers import reference_window_features
 
 from trajformer.data import AgentTrack, Scene, WindowConfig, load_dataset_root
 from trajformer.errors import DataError
-from trajformer.features import PolarGridConfig, SemanticConfig
+from trajformer.features import FeatureStats, PolarGridConfig, SemanticConfig
 from trajformer.maps import SceneMap
 from trajformer.pipeline import (build_feature_set, load_feature_cache, load_root,
                                  resample_scene, save_feature_cache)
@@ -48,6 +48,20 @@ def test_load_root_equals_resample_then_build(tmp_path):
             for a, b in zip(ours.tracks, want.tracks):
                 assert np.array_equal(a.t, b.t) and np.array_equal(a.xy_m, b.xy_m)
                 assert np.array_equal(a.xy_px, b.xy_px)
+
+
+def test_stats_fitted_on_one_scenario_stay_in_range_on_another():
+    wcfg, sc = WindowConfig(delta=10, kappa=20, stride=5), SemanticConfig()
+    train = build_feature_set(generate_scenes("obstacle", 3, seed=0), wcfg, PG, sc).features
+    test = build_feature_set(generate_scenes("crossing", 3, seed=1), wcfg, PG, sc).features
+    stats = FeatureStats.fit([train])
+    const = train.reshape(-1, train.shape[-1]).std(axis=0) < 1e-8
+    assert const.sum() > 50  # most grid cells and map labels never vary in training
+    both = np.concatenate([train, test]).reshape(-1, train.shape[-1])
+    span = both.max(axis=0) - both.min(axis=0)
+    held_out = stats.apply(test)
+    assert np.array_equal(held_out[..., const], test[..., const] - stats.mean[const])
+    assert np.all(np.abs(held_out[..., const]) <= span[const])
 
 
 def test_target_offsets_bridge_and_reconstruct(scenes):
