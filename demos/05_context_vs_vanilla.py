@@ -11,7 +11,7 @@ Takes a minute or two of CPU time.
 import numpy as np
 
 from trajformer.data import WindowConfig
-from trajformer.evaluation import MetricsTable, evaluate, render_markdown
+from trajformer.evaluation import evaluate, render_markdown
 from trajformer.features import FeatureStats, PolarGridConfig, SemanticConfig
 from trajformer.model import ModelConfig, ModelParams
 from trajformer.pipeline import build_feature_set, decode_predictor
@@ -50,7 +50,7 @@ predictions = {
     "vanilla_tf": decode_predictor(van_params, van_stats, test_set, context=False),
 }
 table = evaluate(predictions, test_set.fut_m, [1, 2, 3, 4, 5], wcfg.rate_hz,
-                 dataset="obstacle_heldout", train_dataset="obstacle_train")
+                 dataset="obstacle_heldout")
 print()
 print(render_markdown(table))
 gaps = {h: table.lookup("obstacle_heldout", "vanilla_tf", h).ade_m

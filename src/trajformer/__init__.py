@@ -8,7 +8,7 @@ synthetic scenario generator for desk-scale experiments.
 """
 
 from .autodiff import Tensor, backward
-from .data import AgentTrack, TrajectoryWindow, WindowConfig, cross_dataset_split
+from .data import AgentTrack, TrajectoryWindow, WindowConfig
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import MetricsTable, ade, cv_kalman_predict, rmse
 from .features import (FeatureStats, PolarGridConfig, SemanticConfig, build_features,

@@ -1,9 +1,10 @@
 """Operator entry point: synth, preprocess, train, evaluate, predict.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-divergence. Every command validates its configuration before touching the
-filesystem; all outputs land under the configured output directory, which
-is guarded by a lock file against concurrent runs.
+divergence. Every command validates its configuration, checkpoints and
+input roots before touching the filesystem; all outputs land under the
+configured output directory, which is guarded by a lock file against
+concurrent runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import fcntl
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +82,14 @@ def _checkpoint_meta(cfg: RunConfig, train_dataset: str, epochs_done: int) -> di
             "context": cfg.context, **settings_record(cfg.window, cfg.grid, cfg.semantic)}
 
 
+def _checkpoint_context(ckpt: Checkpoint, path) -> bool:
+    """Whether the checkpoint at ``path`` was trained on context features."""
+    context = ckpt.meta.get("context")
+    if type(context) is not bool:
+        raise DataError(f"{path}: checkpoint meta has no valid context flag ({context!r})")
+    return context
+
+
 def _require_settings(meta: dict, cfg: RunConfig, source) -> None:
     """Hold ``source``, a feature cache or checkpoint with metadata ``meta``, to
     the run's window, grid and semantic settings: a section it does not record
@@ -104,37 +114,32 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _preprocess_root(cfg: RunConfig, root: str, tag: str) -> int:
-    scenes, fset = load_root(root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic, cfg.context)
-    canon_dir = cfg.out_dir / "canonical" / tag
-    counts = {s.scene_map.scene_id: 0 for s in scenes}
-    for scene_id, _, _ in fset.keys:
-        counts[scene_id] += 1
-    total = 0
+def _write_root(cfg: RunConfig, tag: str, root: str, scenes, fset) -> None:
+    counts = Counter(scene_id for scene_id, _, _ in fset.keys)
     for scene in scenes:
-        scene_dir = canon_dir / scene.scene_map.scene_id
+        scene_id = scene.scene_map.scene_id
+        scene_dir = cfg.out_dir / "canonical" / tag / scene_id
         scene_dir.mkdir(parents=True, exist_ok=True)
-        write_tracks(scene_dir / "tracks.csv", scene.tracks, scene.scene_map.scene_id)
-        count = counts[scene.scene_map.scene_id]
-        total += count
-        print(f"{tag}/{scene.scene_map.scene_id}: {count} windows")
+        write_tracks(scene_dir / "tracks.csv", scene.tracks, scene_id)
+        print(f"{tag}/{scene_id}: {counts[scene_id]} windows")
     cache_dir = cfg.out_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
     save_feature_cache(cache_dir / f"{tag}_features.bin", fset, cfg.window, cfg.grid,
                        cfg.semantic)
-    if total == 0:
+    if len(fset) == 0:
         print(f"warning: no windows extracted from {root}", file=sys.stderr)
-    return total
 
 
 def cmd_preprocess(args) -> int:
     cfg = build_run_config(args.config, args.set)
     if not cfg.train_root:
         raise ConfigError("data.train_root is required for preprocess")
+    loaded = {tag: (root, *load_root(root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic,
+                                     cfg.context))
+              for tag, root in (("train", cfg.train_root), ("test", cfg.test_root)) if root}
     with _OutputLock(cfg.out_dir):
-        _preprocess_root(cfg, cfg.train_root, "train")
-        if cfg.test_root:
-            _preprocess_root(cfg, cfg.test_root, "test")
+        for tag, (root, scenes, fset) in loaded.items():
+            _write_root(cfg, tag, root, scenes, fset)
     return 0
 
 
@@ -150,7 +155,7 @@ def cmd_train(args) -> int:
 
     start_epoch, state = 0, None
     if args.resume:
-        ckpt = _runnable_checkpoint(args.resume, with_adam=True)
+        ckpt = load_checkpoint(args.resume)
         _require_settings(ckpt.meta, cfg, args.resume)
         if ckpt.params.config != cfg.model:
             raise ConfigError(f"{args.resume}: checkpoint model config does not match run config")
@@ -224,9 +229,9 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("a test dataset is required (--test-root or data.test_root)")
     if not Path(test_root).is_dir():
         raise ConfigError(f"test dataset root {test_root!r} does not exist")
+    dataset = Path(test_root).name
 
     checkpoints = {}  # method -> (checkpoint, context); decoded once the test set is built
-    train_dataset = None
     for method, flag, path, context in (
             ("context_tf", "--checkpoint", args.checkpoint, True),
             ("vanilla_tf", "--vanilla-checkpoint", args.vanilla_checkpoint, False)):
@@ -234,20 +239,22 @@ def cmd_evaluate(args) -> int:
             continue
         if not path:
             raise ConfigError(f"method {method} needs {flag}")
-        ckpt = _runnable_checkpoint(path)
-        if bool(ckpt.meta.get("context")) != context:
+        ckpt = load_checkpoint(path, with_adam=False)
+        if _checkpoint_context(ckpt, path) != context:
             raise ConfigError(f"{flag} was trained {'without' if context else 'with'} "
                               "context features")
         _require_settings(ckpt.meta, cfg, path)
-        train_dataset = train_dataset or ckpt.meta.get("train_dataset")
+        if ckpt.meta.get("train_dataset") == dataset and not args.allow_same_dataset:
+            raise ConfigError(f"{flag} was trained on {dataset!r}; evaluating on the same "
+                              "dataset requires --allow-same-dataset")
         checkpoints[method] = (ckpt, context)
     if not methods:
         raise ConfigError(f"no methods requested (--methods {args.methods!r})")
+    _, fset = load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)
+    if len(fset) == 0:
+        raise DataError(f"no windows in {test_root}")
 
     with _OutputLock(cfg.out_dir):
-        _, fset = load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)
-        if len(fset) == 0:
-            raise DataError(f"no windows in {test_root}")
         predictions = {method: decode_predictor(ckpt.params, ckpt.stats, fset, context)
                        for method, (ckpt, context) in checkpoints.items()}
         if "oracle" in methods:
@@ -256,12 +263,9 @@ def cmd_evaluate(args) -> int:
             predictions["cv_kalman"] = cv_kalman_predict(
                 fset.obs_m, cfg.window.kappa, 1.0 / cfg.window.rate_hz,
                 cfg.kalman_process_noise, cfg.kalman_measurement_noise)
-        table = evaluate(
-            predictions, fset.fut_m, cfg.horizons_s, cfg.window.rate_hz,
-            dataset=Path(test_root).name, train_dataset=train_dataset,
-            allow_same_dataset=args.allow_same_dataset,
-            at_horizon=cfg.at_horizon, pooled_rmse=cfg.pooled_rmse,
-        )
+        table = evaluate(predictions, fset.fut_m, cfg.horizons_s, cfg.window.rate_hz,
+                         dataset=dataset, at_horizon=cfg.at_horizon,
+                         pooled_rmse=cfg.pooled_rmse)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         emit_report(table, cfg.out_dir / "report.csv", "csv")
         emit_report(table, cfg.out_dir / "report.md", "markdown")
@@ -270,32 +274,24 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _runnable_checkpoint(path, with_adam: bool = False) -> Checkpoint:
-    """A checkpoint the commands can run: one holding standardization stats."""
-    ckpt = load_checkpoint(path, with_adam)
-    if ckpt.stats is None:
-        raise DataError(f"{path}: checkpoint holds no feature standardization stats")
-    return ckpt
-
-
 def cmd_predict(args) -> int:
-    ckpt = _runnable_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, with_adam=False)
     try:
         window, grid, semantic = (cls(**ckpt.meta[name]) for cls, name in (
             (WindowConfig, "window"), (PolarGridConfig, "grid"), (SemanticConfig, "semantic")))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{args.checkpoint}: checkpoint lacks valid window, grid or semantic "
                         f"settings ({exc!r})") from None
-    context = bool(ckpt.meta.get("context"))
+    context = _checkpoint_context(ckpt, args.checkpoint)
     if not Path(args.root).is_dir():
         raise ConfigError(f"window source {args.root!r} does not exist")
+    scenes, fset = load_root(args.root, args.adapter, window, grid, semantic)
+    if len(fset) == 0:
+        raise DataError(f"no windows in {args.root}")
+    maps_by_scene = {s.scene_map.scene_id: s.scene_map for s in scenes}
     out_dir = Path(args.out)
 
     with _OutputLock(out_dir):
-        scenes, fset = load_root(args.root, args.adapter, window, grid, semantic)
-        if len(fset) == 0:
-            raise DataError(f"no windows in {args.root}")
-        maps_by_scene = {s.scene_map.scene_id: s.scene_map for s in scenes}
         preds = decode_predictor(ckpt.params, ckpt.stats, fset, context)
 
         out_dir.mkdir(parents=True, exist_ok=True)

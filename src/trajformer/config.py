@@ -174,8 +174,8 @@ def build_run_config(path=None, overrides: list[str] | None = None) -> RunConfig
         raise ConfigError("eval.horizons must list at least one horizon")
 
     for key in ("data.train_root", "data.test_root"):
-        if values[key] and not Path(values[key]).exists():
-            raise ConfigError(f"{key}: path {values[key]!r} does not exist")
+        if values[key] and not Path(values[key]).is_dir():
+            raise ConfigError(f"{key}: path {values[key]!r} is not an existing directory")
 
     return RunConfig(
         train_root=values["data.train_root"],

@@ -323,13 +323,6 @@ def extract_windows(track: AgentTrack, cfg: WindowConfig,
     return windows
 
 
-def cross_dataset_split(datasets: list[str]) -> list[tuple[str, str]]:
-    """Every ordered (train, test) pair of distinct dataset names."""
-    if len(datasets) < 2:
-        raise ValueError(f"cross-dataset protocol needs >= 2 datasets, got {len(datasets)}")
-    return [(a, b) for a in datasets for b in datasets if a != b]
-
-
 # ---------------------------------------------------------- scene dirs
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Displacement metrics, the cross-dataset protocol and the CV-Kalman baseline.
+"""Displacement metrics, their report tables and the CV-Kalman baseline.
 
 Predictions are plain (N, kappa, 2) arrays of absolute positions, aligned
 row for row with the ground truth. ADE(h) and RMSE(h) aggregate over all
@@ -78,25 +78,18 @@ def evaluate(
     horizons_s: list[float],
     rate_hz: float,
     dataset: str,
-    train_dataset: str | None = None,
-    allow_same_dataset: bool = False,
     at_horizon: bool = False,
     pooled_rmse: bool = True,
 ) -> MetricsTable:
     """Score every method over every window at every horizon.
 
     ``predictions`` maps method name to its (N, kappa, 2) absolute positions,
-    row i forecasting the ground truth ``fut_m[i]``. Train/test dataset
-    names enforce the held-out protocol unless explicitly waived.
+    row i forecasting the ground truth ``fut_m[i]``; ``dataset`` labels the
+    rows.
     """
     fut_m = np.asarray(fut_m, dtype=np.float64)
     if len(fut_m) == 0:
         raise DataError(f"no evaluation windows for dataset {dataset!r}")
-    if train_dataset is not None and train_dataset == dataset and not allow_same_dataset:
-        raise ConfigError(
-            f"model was trained on {train_dataset!r}; evaluating on the same dataset "
-            "requires allow_same_dataset"
-        )
     kappa = fut_m.shape[1]
     steps = []
     for h in horizons_s:

@@ -201,11 +201,3 @@ class FeatureStats:
                 f"feature dim {features.shape[-1]} does not match stats dim {self.mean.shape[0]}"
             )
         return (features - self.mean) / self.std
-
-    def invert(self, standardized: np.ndarray) -> np.ndarray:
-        standardized = np.asarray(standardized, dtype=np.float64)
-        if standardized.shape[-1] != self.mean.shape[0]:
-            raise ValueError(
-                f"feature dim {standardized.shape[-1]} does not match stats dim {self.mean.shape[0]}"
-            )
-        return standardized * self.std + self.mean

@@ -436,15 +436,13 @@ def _checkpoint_views(params: ModelParams, adam: AdamState | None) -> dict[str, 
 def save_checkpoint(
     path,
     params: ModelParams,
-    stats: FeatureStats | None = None,
+    stats: FeatureStats,
     meta: dict | None = None,
     adam_moments: AdamState | None = None,
 ) -> None:
     """Self-describing container: config + standardization stats + weights."""
-    arrays = _checkpoint_views(params, adam_moments)
-    if stats is not None:
-        arrays["stats.mean"] = stats.mean
-        arrays["stats.std"] = stats.std
+    arrays = {**_checkpoint_views(params, adam_moments),
+              "stats.mean": stats.mean, "stats.std": stats.std}
     header = {
         "kind": "checkpoint",
         "checkpoint_version": CHECKPOINT_VERSION,
@@ -459,7 +457,7 @@ def save_checkpoint(
 @dataclass
 class Checkpoint:
     params: ModelParams
-    stats: FeatureStats | None
+    stats: FeatureStats
     meta: dict
     adam_moments: AdamState | None
 
@@ -478,8 +476,6 @@ def load_checkpoint(path, with_adam: bool = True) -> Checkpoint:
     into = {**_checkpoint_views(params, adam), "stats.mean": stats.mean, "stats.std": stats.std}
     arrays, header = load_bundle(path, (), into)
     missing = [name for name in into if name not in arrays]
-    if missing == ["stats.mean", "stats.std"]:
-        stats, missing = None, []
     if missing:
         raise DataError(f"{path}: checkpoint lacks array {missing[0]!r}")
     return Checkpoint(params=params, stats=stats, meta=header, adam_moments=adam)

@@ -294,8 +294,7 @@ def test_report_table_shape_capability(tmp_path):
             "vanilla_tf": decode_predictor(van_params, van_stats, test, False),
             "cv_kalman": cv_kalman_predict(test.obs_m, wcfg.kappa, 0.1),
         }
-        table = evaluate(predictions, test.fut_m, horizons, wcfg.rate_hz,
-                         dataset=test_name, train_dataset=train_name)
+        table = evaluate(predictions, test.fut_m, horizons, wcfg.rate_hz, dataset=test_name)
         merged.rows.extend(table.rows)
     assert len(merged.rows) == 2 * 3 * 5
     markdown = render_markdown(merged)

@@ -226,12 +226,37 @@ def test_evaluate_methods_times_horizons(tmp_path, dataset):
     assert all(r.dataset == "ds_test" for r in table.rows)
 
 
-def test_evaluate_same_dataset_protocol_guard(tmp_path, dataset):
+def test_evaluate_same_dataset_protocol_guard(tmp_path, dataset, capsys, monkeypatch):
     out = train_pipeline(tmp_path, dataset)
     args = desk_args(dataset, out) + ["--test-root", str(dataset),
                                       "--checkpoint", str(out / "model.ckpt"),
                                       "--methods", "context_tf"]
+    before = snapshot(out)
+    with monkeypatch.context() as m:  # refused before the test root is read
+        m.setattr(cli, "load_root", lambda *a, **k: pytest.fail("test root was loaded"))
+        capsys.readouterr()
+        assert run("evaluate", *args) == 1
+    assert "--checkpoint was trained on 'ds'" in capsys.readouterr().err
+    assert snapshot(out) == before
+    assert run("evaluate", *args, "--allow-same-dataset") == 0
+
+
+def test_evaluate_holds_every_checkpoint_to_the_protocol(tmp_path, dataset, capsys):
+    out = train_pipeline(tmp_path, dataset)  # context model trained on ds
+    other = tmp_path / "other"
+    assert run("synth", "--out", str(other), "--scenario", "linear", "--n", "2",
+               "--scenes", "1", "--seed", "3") == 0
+    vanilla = tmp_path / "vanilla"  # offsets-only model trained on other
+    assert run("preprocess", *desk_args(other, vanilla, ["context.enabled=false"])) == 0
+    assert run("train", *desk_args(other, vanilla, ["context.enabled=false"])) == 0
+    target = tmp_path / "scored"
+    args = [*desk_args(dataset, target), "--test-root", str(other),
+            "--methods", "context_tf,vanilla_tf", "--checkpoint", str(out / "model.ckpt"),
+            "--vanilla-checkpoint", str(vanilla / "model.ckpt")]
+    capsys.readouterr()
     assert run("evaluate", *args) == 1
+    assert "--vanilla-checkpoint was trained on 'other'" in capsys.readouterr().err
+    assert not target.exists()
     assert run("evaluate", *args, "--allow-same-dataset") == 0
 
 
@@ -305,6 +330,29 @@ def test_predict_missing_scene_map_errors(tmp_path, dataset):
     rc = run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(dataset),
              "--out", str(tmp_path / "pred"), "--plot")
     assert rc == 2
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "preprocess"])
+def test_root_without_scene_map_exits_2_and_writes_nothing(tmp_path, dataset, capsys, command):
+    out = train_pipeline(tmp_path, dataset)
+    broken = tmp_path / "broken"
+    assert run("synth", "--out", str(broken), "--scenario", "linear", "--n", "2",
+               "--scenes", "1", "--seed", "3") == 0
+    if command == "evaluate":
+        target = tmp_path / "scored"
+        argv = ["evaluate", *desk_args(dataset, target), "--test-root", str(broken),
+                "--checkpoint", str(out / "model.ckpt")]
+    else:  # an output directory that already holds both roots' caches
+        target = out
+        argv = ["preprocess", *desk_args(dataset, out, [f"data.test_root={broken}"])]
+        assert run(*argv) == 0
+    (broken / "linear_s3_00" / "map.pgm").unlink()
+    before = snapshot(target)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert str(broken / "linear_s3_00" / "map.pgm") in capsys.readouterr().err
+    assert snapshot(target) == before
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate", "evaluate-vanilla", "train"])
@@ -333,10 +381,13 @@ def test_predict_checkpoint_without_settings_exits_2(tmp_path, dataset, capsys):
     out = train_pipeline(tmp_path, dataset)
     ckpt = load_checkpoint(out / "model.ckpt")
     bare = tmp_path / "bare.ckpt"
-    save_checkpoint(bare, ckpt.params)
+    save_checkpoint(bare, ckpt.params, ckpt.stats)
     bad = tmp_path / "bad.ckpt"
     save_checkpoint(bad, ckpt.params, ckpt.stats, {**ckpt.meta, "window": {"delta": 1}})
-    for path in (bare, bad):
+    no_context = tmp_path / "no_context.ckpt"
+    save_checkpoint(no_context, ckpt.params, ckpt.stats,
+                    {k: v for k, v in ckpt.meta.items() if k != "context"})
+    for path in (bare, bad, no_context):
         pred_dir = tmp_path / f"pred_{path.stem}"
         assert run("predict", "--checkpoint", str(path), "--root", str(dataset),
                    "--out", str(pred_dir)) == 2
@@ -363,9 +414,9 @@ def test_resume_without_valid_epochs_done_exits_2(tmp_path, dataset, capsys, epo
 @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
 def test_checkpoint_without_stats_exits_2(tmp_path, dataset, capsys, command):
     out = train_pipeline(tmp_path, dataset)
-    ckpt = load_checkpoint(out / "model.ckpt")
+    arrays, meta = load_bundle(out / "model.ckpt")
     bare = tmp_path / "bare.ckpt"
-    save_checkpoint(bare, ckpt.params, None, ckpt.meta, ckpt.adam_moments)
+    save_bundle(bare, {k: v for k, v in arrays.items() if not k.startswith("stats.")}, meta)
     target = tmp_path / "target"
     argv = {
         "train": ["train", *desk_args(dataset, out, ["train.epochs=4"]), "--resume", str(bare)],
@@ -506,10 +557,11 @@ def test_resume_with_matching_settings_keeps_the_stats(tmp_path, dataset):
     (["--set", "data.adapter=bogus"], "'bogus'"),
     (["--set", "eval.horizons=,"], "eval.horizons"),
     (["--set", "data.test_root=absent_root"], "'absent_root'"),
+    (["--set", f"data.train_root={CONFIG_DIR / 'desk.cfg'}"], "data.train_root"),
     (["--set", "window.delta"], "'window.delta'"),
     (["--set", "window.deltas=3"], "'window.deltas'"),
 ], ids=["no_train_root", "unknown_adapter", "no_horizons", "absent_test_root",
-        "set_without_equals", "unknown_key"])
+        "train_root_is_file", "set_without_equals", "unknown_key"])
 def test_preprocess_guards_exit_1_and_write_nothing(tmp_path, dataset, capsys, extra, named):
     out = tmp_path / "out"
     capsys.readouterr()

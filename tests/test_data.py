@@ -5,9 +5,9 @@ import zlib
 import numpy as np
 import pytest
 
-from trajformer.data import (AgentTrack, WindowConfig, attach_pixel_coords, cross_dataset_split,
-                             extract_windows, load_dataset_root, load_scene_dir, load_tracks,
-                             resample, write_tracks)
+from trajformer.data import (AgentTrack, WindowConfig, attach_pixel_coords, extract_windows,
+                             load_dataset_root, load_scene_dir, load_tracks, resample,
+                             write_tracks)
 from trajformer.errors import DataError
 from trajformer.maps import load_scene_map, read_png_gray, write_pgm, write_png_gray
 
@@ -275,13 +275,6 @@ def test_window_slices_are_contiguous():
     for w in extract_windows(make_track(n=30), cfg):
         assert len(w.obs_m) == 5 and len(w.fut_m) == 3
         assert np.max(np.abs(np.diff(w.t_obs) - 0.1)) < 1e-9
-
-
-def test_cross_dataset_split():
-    assert cross_dataset_split(["DUT", "inD"]) == [("DUT", "inD"), ("inD", "DUT")]
-    assert len(cross_dataset_split(["A", "B", "C"])) == 6
-    with pytest.raises(ValueError):
-        cross_dataset_split(["A"])
 
 
 # ------------------------------------------------------------ label maps

@@ -1,0 +1,14 @@
+"""Every narrative script under demos/ runs to completion."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(script, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # demo 04 writes runs/demo04 under the working directory
+    runpy.run_path(str(script), run_name="__main__")

@@ -91,7 +91,7 @@ def linear_windows(n=6, delta=8, kappa=20, rate=10.0):
 
 def test_evaluate_perfect_oracle_all_zero():
     _, fut = linear_windows()
-    table = evaluate({"oracle": fut.copy()}, fut, [1.0, 2.0], 10.0, "dsB", train_dataset="dsA")
+    table = evaluate({"oracle": fut.copy()}, fut, [1.0, 2.0], 10.0, "dsB")
     assert len(table.rows) == 2
     for row in table.rows:
         assert row.ade_m == 0.0 and row.rmse_m == 0.0
@@ -105,15 +105,6 @@ def test_evaluate_table_shape_methods_by_horizons():
     table = evaluate(predictions, fut, horizons, 10.0, "dsB")
     assert len(table.rows) == 3 * 4
     assert {r.method for r in table.rows} == {"m1", "m2", "m3"}
-
-
-def test_evaluate_same_dataset_guard():
-    _, fut = linear_windows()
-    with pytest.raises(ConfigError):
-        evaluate({"m": fut}, fut, [1.0], 10.0, "dsA", train_dataset="dsA")
-    table = evaluate({"m": fut}, fut, [1.0], 10.0, "dsA",
-                     train_dataset="dsA", allow_same_dataset=True)
-    assert len(table.rows) == 1
 
 
 def test_evaluate_empty_and_horizon_validation():

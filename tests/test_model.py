@@ -23,6 +23,10 @@ def tiny_params(seed=0, config=TINY):
     return ModelParams(config, seed=seed)
 
 
+def tiny_stats(config=TINY):
+    return FeatureStats(np.zeros(config.feature_dim), np.ones(config.feature_dim))
+
+
 # ------------------------------------------------- positional encoding
 
 def test_pe_first_row_alternates():
@@ -463,7 +467,7 @@ def test_loaded_checkpoint_fills_flat_buffers_in_place(tmp_path):
     state = AdamState(params, tau=2)
     state.m[...], state.v[...] = 2.0 * params.flat, params.flat ** 2
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, None, {}, state)
+    save_checkpoint(path, params, tiny_stats(), {}, state)
     ckpt = load_checkpoint(path)
     loaded, moments = ckpt.params, ckpt.adam_moments
     assert all(np.shares_memory(t.data, loaded.flat) for t in loaded.tensors.values())
@@ -519,19 +523,19 @@ def test_checkpoint_without_adam_skips_moments(tmp_path):
     moments = AdamState(params, tau=7)
     moments.m[...], moments.v[...] = params.flat + 1.0, params.flat + 2.0
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, None, {"epochs_done": 1}, moments)
+    save_checkpoint(path, params, tiny_stats(), {"epochs_done": 1}, moments)
     full = load_checkpoint(path)
     assert full.adam_moments.tau == 7
     assert np.array_equal(full.adam_moments.v, moments.v)
     lean = load_checkpoint(path, with_adam=False)
-    assert lean.adam_moments is None and lean.stats is None
+    assert lean.adam_moments is None and np.array_equal(lean.stats.std, tiny_stats().std)
     for name in params.names():
         assert np.array_equal(lean.params[name].data, params[name].data)
 
 
 def test_checkpoint_missing_array_names_file(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, tiny_params(seed=27), None, {})
+    save_checkpoint(path, tiny_params(seed=27), tiny_stats(), {})
     arrays, meta = load_bundle(path)
     del arrays["param.out_proj.b"]
     save_bundle(path, arrays, meta)

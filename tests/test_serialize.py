@@ -4,6 +4,7 @@ from oracle_helpers import reference_save_bundle
 
 from trajformer import serialize
 from trajformer.evaluation import MetricsRow, MetricsTable, emit_report
+from trajformer.features import FeatureStats
 from trajformer.model import ModelConfig, ModelParams, save_checkpoint
 from trajformer.serialize import atomic_open, load_bundle, save_bundle
 from trajformer.training import AdamState
@@ -40,9 +41,10 @@ def test_streamed_writer_bytes_equal_reference_writer(tmp_path):
 def test_checkpoint_with_moments_equals_reference_writer(tmp_path, monkeypatch):
     params = ModelParams(ModelConfig(feature_dim=3, d_model=8, n_heads=2, n_layers=1), seed=1)
     state = AdamState(params, tau=3)
-    save_checkpoint(tmp_path / "new.ckpt", params, None, {"epochs_done": 1}, state)
+    stats = FeatureStats(np.zeros(3), np.ones(3))
+    save_checkpoint(tmp_path / "new.ckpt", params, stats, {"epochs_done": 1}, state)
     monkeypatch.setattr("trajformer.model.save_bundle", reference_save_bundle)
-    save_checkpoint(tmp_path / "ref.ckpt", params, None, {"epochs_done": 1}, state)
+    save_checkpoint(tmp_path / "ref.ckpt", params, stats, {"epochs_done": 1}, state)
     assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
 
 
