@@ -16,6 +16,7 @@ referenced paths) before any command touches the filesystem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -83,13 +84,24 @@ def _to_int(raw: str, key: str) -> int:
 
 def _to_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _to_optional_float(raw: str, key: str) -> float | None:
     return _to_float(raw, key) if raw else None
+
+
+def _bounded(values: dict[str, str], key: str, parse, low: float, strict: bool = False):
+    """``values[key]`` parsed by ``parse``; ConfigError below ``low``, or at it if ``strict``."""
+    value = parse(values[key], key)
+    if value < low or strict and value == low:
+        raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, got {value}")
+    return value
 
 
 def _to_bool(raw: str, key: str) -> bool:
@@ -108,11 +120,14 @@ _PARSERS = {int: _to_int, float: _to_float, float | None: _to_optional_float}
 def _section(cls, section: str, values: dict[str, str], **derived):
     """``cls`` built from the ``<section>.<field>`` values, each parsed by the
     field's declared type, plus the ``derived`` fields no key sets; a field
-    with neither keeps its default."""
+    with neither keeps its default. Each check's message opens with its field."""
     types = get_type_hints(cls)
     kwargs = {f.name: _PARSERS[types[f.name]](values[key], key)
               for f in fields(cls) if (key := f"{section}.{f.name}") in values}
-    return cls(**kwargs, **derived)
+    try:
+        return cls(**kwargs, **derived)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 @dataclass
@@ -154,16 +169,12 @@ def build_run_config(path=None, overrides: list[str] | None = None) -> RunConfig
                           f"got {values['data.adapter']!r}")
 
     context = _to_bool(values["context.enabled"], "context.enabled")
-    try:
-        window = _section(WindowConfig, "window", values)
-        grid = _section(PolarGridConfig, "grid", values)
-        semantic = _section(SemanticConfig, "semantic", values)
-        model = _section(ModelConfig, "model", values,
-                         feature_dim=feature_dim(grid, semantic, context))
-        train = _section(TrainConfig, "train", values,
-                         seed=_to_int(values["seed"], "seed"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    window = _section(WindowConfig, "window", values)
+    grid = _section(PolarGridConfig, "grid", values)
+    semantic = _section(SemanticConfig, "semantic", values)
+    model = _section(ModelConfig, "model", values,
+                     feature_dim=feature_dim(grid, semantic, context))
+    train = _section(TrainConfig, "train", values, seed=_to_int(values["seed"], "seed"))
 
     horizons = []
     for token in values["eval.horizons"].split(","):
@@ -189,11 +200,10 @@ def build_run_config(path=None, overrides: list[str] | None = None) -> RunConfig
         horizons_s=horizons,
         at_horizon=_to_bool(values["eval.at_horizon"], "eval.at_horizon"),
         pooled_rmse=_to_bool(values["eval.pooled_rmse"], "eval.pooled_rmse"),
-        kalman_process_noise=_to_float(values["eval.kalman_process_noise"],
-                                       "eval.kalman_process_noise"),
-        kalman_measurement_noise=_to_float(values["eval.kalman_measurement_noise"],
-                                           "eval.kalman_measurement_noise"),
+        kalman_process_noise=_bounded(values, "eval.kalman_process_noise", _to_float, 0),
+        kalman_measurement_noise=_bounded(values, "eval.kalman_measurement_noise", _to_float, 0,
+                                          strict=True),
         context=context,
         out_dir=Path(values["out_dir"]),
-        checkpoint_every=_to_int(values["train.checkpoint_every"], "train.checkpoint_every"),
+        checkpoint_every=_bounded(values, "train.checkpoint_every", _to_int, 0),
     )

@@ -4,9 +4,9 @@ Tracks files are UTF-8 CSV with a header and '.' decimal points. ``ADAPTERS``
 declares every schema the loader reads: the canonical one, which
 ``write_tracks`` writes, and the ``dut`` and ``ind`` schemas of the
 drone-recorded datasets. Velocity columns are required but discarded;
-offsets are recomputed from positions downstream. The ``ind`` schema carries
-no pixel coordinates; they are attached later from the scene's
-meters_per_pixel.
+offsets are recomputed from positions downstream. Every track carries
+pixels; the ``ind`` schema's are derived from the scene's meters_per_pixel.
+A window is a start index into its pedestrian track (``extract_windows``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class TrackSchema:
     time: str
     fps: float
     meters: tuple[str, str]
-    pixels: tuple[str, str] | None   # None: attached later from meters_per_pixel
+    pixels: tuple[str, str] | None   # None: derived from meters_per_pixel
 
 
 # every tracks schema the loaders accept, by adapter name
@@ -68,15 +68,14 @@ class AgentTrack:
     agent_type: str
     t: np.ndarray            # (n,) seconds, strictly increasing
     xy_m: np.ndarray         # (n, 2) meters
-    xy_px: np.ndarray | None  # (n, 2) pixels, or None until attached
+    xy_px: np.ndarray        # (n, 2) pixels
 
     def __post_init__(self):
         if self.agent_type not in AGENT_TYPES:
             raise DataError(f"unknown agent type {self.agent_type!r} for agent {self.agent_id}")
         self.t = np.asarray(self.t, dtype=np.float64)
         self.xy_m = np.asarray(self.xy_m, dtype=np.float64)
-        if self.xy_px is not None:
-            self.xy_px = np.asarray(self.xy_px, dtype=np.float64)
+        self.xy_px = np.asarray(self.xy_px, dtype=np.float64)
         if len(self.t) != len(self.xy_m):
             raise DataError(f"agent {self.agent_id}: {len(self.t)} times vs {len(self.xy_m)} positions")
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
@@ -106,13 +105,12 @@ class WindowConfig:
 
 @dataclass
 class TrajectoryWindow:
+    """Observed steps of one ego track, which ``build_features`` works over."""
     ego_id: str
     scene_id: str
-    start_index: int
-    t_obs: np.ndarray     # (delta,)
-    obs_m: np.ndarray     # (delta, 2)
-    obs_px: np.ndarray    # (delta, 2)
-    fut_m: np.ndarray     # (kappa, 2)
+    t_obs: np.ndarray     # (n,)
+    obs_m: np.ndarray     # (n, 2)
+    obs_px: np.ndarray    # (n, 2)
 
 
 # ------------------------------------------------------------- loading
@@ -128,10 +126,18 @@ def _parse_float(value: str, path, row_no: int, col: str) -> float:
     return parsed
 
 
-def load_tracks(path, adapter: str = "canonical") -> tuple[list[AgentTrack], str]:
+def _file_id(value: str, where: str, what: str) -> str:
+    """A scene or agent id, which output file names hold, or DataError at ``where``."""
+    if value in ("", ".", "..") or "/" in value or "\0" in value:
+        raise DataError(f"{where}: {what} {value!r} is not a plain file name")
+    return value
+
+
+def load_tracks(path, adapter: str, meters_per_pixel: float) -> tuple[list[AgentTrack], str]:
     """Parse one tracks file of an ``ADAPTERS`` schema into per-agent tracks
     plus the scene id. Rows must be in strictly increasing time order per
-    agent (interleaving of agents is fine)."""
+    agent (interleaving of agents is fine). A schema without pixel columns
+    gets pixels of ``xy_m / meters_per_pixel``."""
     schema = ADAPTERS.get(adapter)
     if schema is None:
         raise DataError(f"unknown adapter {adapter!r}")
@@ -153,10 +159,10 @@ def load_tracks(path, adapter: str = "canonical") -> tuple[list[AgentTrack], str
             if schema.scene is not None:
                 sid = rec[schema.scene]
                 if scene_id is None:
-                    scene_id = sid
+                    scene_id = _file_id(sid, f"{path} row {row_no}", schema.scene)
                 elif sid != scene_id:
                     raise DataError(f"{path} row {row_no}: multiple scene ids ({scene_id!r}, {sid!r})")
-            agent_id = rec[schema.agent]
+            agent_id = _file_id(rec[schema.agent], f"{path} row {row_no}", schema.agent)
             label = rec[schema.type]
             agent_type = schema.types.get(label.strip().lower() if schema.fold_labels else label)
             if agent_type is None:
@@ -186,9 +192,9 @@ def load_tracks(path, adapter: str = "canonical") -> tuple[list[AgentTrack], str
         scene_id = "" if schema.scene is not None else path.parent.name
     tracks = []
     for agent_id, bucket in rows.items():
-        px = np.array(bucket["px"]) if bucket["px"] else None
-        tracks.append(AgentTrack(agent_id, bucket["type"], np.array(bucket["t"]),
-                                 np.array(bucket["m"]), px))
+        xy_m = np.array(bucket["m"])
+        xy_px = np.array(bucket["px"]) if pixels is not None else xy_m / meters_per_pixel
+        tracks.append(AgentTrack(agent_id, bucket["type"], np.array(bucket["t"]), xy_m, xy_px))
     return tracks, scene_id
 
 
@@ -211,8 +217,6 @@ def write_tracks(path, tracks: list[AgentTrack], scene_id: str) -> None:
         writer = csv.writer(f)
         writer.writerow(ADAPTERS["canonical"].header)
         for track in tracks:
-            if track.xy_px is None:
-                raise DataError(f"agent {track.agent_id}: pixel coordinates not attached")
             for i in range(len(track)):
                 writer.writerow(
                     [scene_id, track.agent_id, track.agent_type, repr(float(track.t[i])),
@@ -221,17 +225,7 @@ def write_tracks(path, tracks: list[AgentTrack], scene_id: str) -> None:
                 )
 
 
-def attach_pixel_coords(track: AgentTrack, meters_per_pixel: float) -> AgentTrack:
-    """Fill pixel coordinates from meters (shared origin, x_px = x_m / mpp)."""
-    if track.xy_px is not None:
-        return track
-    return AgentTrack(track.agent_id, track.agent_type, track.t, track.xy_m,
-                      track.xy_m / meters_per_pixel)
-
-
 def validate_pixel_consistency(track: AgentTrack, meters_per_pixel: float, tol: float = 1e-6) -> None:
-    if track.xy_px is None:
-        return
     err = np.max(np.abs(track.xy_m - track.xy_px * meters_per_pixel)) if len(track) else 0.0
     if err > tol:
         raise DataError(
@@ -271,56 +265,32 @@ def resample(track: AgentTrack, rate_hz: float) -> AgentTrack:
 
     new_t = grid.copy()
     new_m = np.empty((count, 2))
-    new_px = np.empty((count, 2)) if track.xy_px is not None else None
+    new_px = np.empty((count, 2))
     free = snap < 0
     if free.any():
         for k in range(2):
             new_m[free, k] = np.interp(grid[free], track.t, track.xy_m[:, k])
-            if new_px is not None:
-                new_px[free, k] = np.interp(grid[free], track.t, track.xy_px[:, k])
+            new_px[free, k] = np.interp(grid[free], track.t, track.xy_px[:, k])
     hit = ~free
     if hit.any():
         new_t[hit] = track.t[snap[hit]]
         new_m[hit] = track.xy_m[snap[hit]]
-        if new_px is not None:
-            new_px[hit] = track.xy_px[snap[hit]]
+        new_px[hit] = track.xy_px[snap[hit]]
     return AgentTrack(track.agent_id, track.agent_type, new_t, new_m, new_px)
 
 
 # ------------------------------------------------------------- windows
 
-def extract_windows(track: AgentTrack, cfg: WindowConfig,
-                    scene_id: str = "") -> list[TrajectoryWindow]:
-    """All stride-aligned (delta, kappa) slices of a pedestrian track.
-
-    Non-pedestrian egos and too-short tracks yield an empty list.
-    """
-    if track.agent_type != "pedestrian":
-        return []
+def extract_windows(track: AgentTrack, cfg: WindowConfig) -> range:
+    """Start indices of the stride-aligned (delta, kappa) windows of a
+    pedestrian track; other agents and too-short tracks have none."""
     total = cfg.delta + cfg.kappa
-    if len(track) < total:
-        return []
+    if track.agent_type != "pedestrian" or len(track) < total:
+        return range(0)
     dt = np.diff(track.t)
     if np.any(np.abs(dt - 1.0 / cfg.rate_hz) > 1e-6):
         raise ValueError(f"agent {track.agent_id}: track is not resampled to {cfg.rate_hz} Hz")
-    if track.xy_px is None:
-        raise DataError(f"agent {track.agent_id}: pixel coordinates required for windows")
-    windows = []
-    for start in range(0, len(track) - total + 1, cfg.stride):
-        obs = slice(start, start + cfg.delta)
-        fut = slice(start + cfg.delta, start + total)
-        windows.append(
-            TrajectoryWindow(
-                ego_id=track.agent_id,
-                scene_id=scene_id,
-                start_index=start,
-                t_obs=track.t[obs].copy(),
-                obs_m=track.xy_m[obs].copy(),
-                obs_px=track.xy_px[obs].copy(),
-                fut_m=track.xy_m[fut].copy(),
-            )
-        )
-    return windows
+    return range(0, len(track) - total + 1, cfg.stride)
 
 
 # ---------------------------------------------------------- scene dirs
@@ -360,6 +330,8 @@ def parse_scene_meta(path) -> dict:
         if key == "meters_per_pixel" and not _parse_float(value, path, line_no, key) > 0:
             raise DataError(f"{path} row {line_no}: meters_per_pixel must be positive, "
                             f"got {value!r}")
+        if key == "scene_id":
+            _file_id(value, f"{path} line {line_no}", key)
         meta[key] = value
     for key in ("scene_id", "meters_per_pixel", "label_map"):
         if key not in meta:
@@ -374,12 +346,11 @@ def load_scene_dir(scene_dir, adapter: str = "canonical") -> Scene:
     mpp = float(meta["meters_per_pixel"])  # validated by parse_scene_meta
     scene_map = load_scene_map(scene_dir / meta["label_map"], mpp, scene_id=meta["scene_id"])
     tracks_path = scene_dir / meta.get("tracks", "tracks.csv")
-    tracks, file_scene_id = load_tracks(tracks_path, adapter)
+    tracks, file_scene_id = load_tracks(tracks_path, adapter, mpp)
     if ADAPTERS[adapter].scene is not None and file_scene_id and file_scene_id != meta["scene_id"]:
         raise DataError(
             f"{tracks_path}: scene id {file_scene_id!r} does not match meta {meta['scene_id']!r}"
         )
-    tracks = [attach_pixel_coords(tr, mpp) for tr in tracks]
     for tr in tracks:
         validate_pixel_consistency(tr, mpp)
     return Scene(scene_map=scene_map, tracks=tracks, meta=meta)
@@ -390,8 +361,13 @@ def load_dataset_root(root, adapter: str = "canonical") -> list[Scene]:
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root {root} does not exist")
-    scenes = []
+    scenes, dirs = [], {}
     for child in sorted(root.iterdir()):
         if child.is_dir() and (child / "scene.meta").exists():
-            scenes.append(load_scene_dir(child, adapter))
+            scene = load_scene_dir(child, adapter)
+            scene_id = scene.scene_map.scene_id
+            if scene_id in dirs:
+                raise DataError(f"{dirs[scene_id]} and {child} both hold scene {scene_id!r}")
+            dirs[scene_id] = child
+            scenes.append(scene)
     return scenes

@@ -151,7 +151,7 @@ def build_features(
     if not context:
         return offsets
     if scene is None:
-        raise ValueError(f"window {window.ego_id}@{window.start_index}: scene map required")
+        raise ValueError(f"agent {window.ego_id} of scene {window.scene_id!r}: scene map required")
 
     times = window.t_obs[1:]
     present = []  # (track, sample row per step or -1)

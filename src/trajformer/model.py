@@ -48,14 +48,15 @@ class ModelConfig:
     out_dim: int = 2
 
     def __post_init__(self):
+        for name, low in (("n_heads", 1), ("d_model", 2), ("n_layers", 1), ("d_ff", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_model % 2 != 0:
             raise ValueError(f"d_model must be even for positional encoding, got {self.d_model}")
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 

@@ -3,12 +3,12 @@
 ``load_root`` is the one path from a dataset root to its windows: all
 tracks in a scene are resampled onto the shared global grid (multiples of
 1/rate) so windows and their neighbors line up in time. Features are
-built once per (agent, timestep) over each track's observed span, and each
-window's block is a slice of that array. Feature blocks are cached in the
-binary bundle format keyed by (scene_id, ego_id, window start); reruns
-over unchanged inputs produce byte-identical caches. ``decode_predictor``
-turns a feature set into the (N, kappa, 2) position array that evaluation
-scores and ``predict`` writes.
+built once per (agent, timestep) over each track's observed span; one
+index array of its windows' steps gathers their blocks and positions.
+Feature blocks are cached in the binary bundle format keyed by (scene_id,
+ego_id, window start); reruns over unchanged inputs produce byte-identical
+caches. ``decode_predictor`` turns a feature set into the (N, kappa, 2)
+position array that evaluation scores and ``predict`` writes.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import (AgentTrack, Scene, TrajectoryWindow, WindowConfig, extract_windows,
-                   load_dataset_root, resample)
+from .data import (Scene, TrajectoryWindow, WindowConfig, extract_windows, load_dataset_root,
+                   resample)
 from .errors import ConfigError, DataError
-from .features import (FeatureStats, PolarGridConfig, SemanticConfig, build_features,
-                       compute_offsets, feature_dim)
+from .features import FeatureStats, PolarGridConfig, SemanticConfig, build_features, feature_dim
 from .model import ModelParams, predict_autoregressive
 from .serialize import load_bundle, save_bundle
 
@@ -62,19 +61,6 @@ def resample_scene(scene: Scene, rate_hz: float) -> Scene:
     return Scene(scene_map=scene.scene_map, tracks=kept, meta=scene.meta)
 
 
-def observed_span(track: AgentTrack, windows: list[TrajectoryWindow]) -> TrajectoryWindow:
-    """One window over every step that ``windows`` (in start order) observe."""
-    end = windows[-1].start_index + len(windows[-1].t_obs)
-    return TrajectoryWindow(track.agent_id, windows[0].scene_id, 0, track.t[:end],
-                            track.xy_m[:end], track.xy_px[:end], track.xy_m[end:])
-
-
-def target_offsets_for(window: TrajectoryWindow) -> np.ndarray:
-    """kappa offsets: the first steps from the last observed position."""
-    path = np.concatenate([window.obs_m[-1:], window.fut_m])
-    return compute_offsets(path)
-
-
 def build_feature_set(
     scenes: list[Scene],
     wcfg: WindowConfig,
@@ -86,29 +72,28 @@ def build_feature_set(
 
     The scenes' tracks must already be on the 1/rate grid (``resample_scene``
     puts them there; synthetic scenes are generated on it)."""
-    per_track = [(scene, track, extract_windows(track, wcfg, scene.scene_map.scene_id))
-                 for scene in scenes for track in scene.tracks]
-    n = sum(len(windows) for _, _, windows in per_track)
+    per_track = [(scene, track, starts) for scene in scenes for track in scene.tracks
+                 if (starts := extract_windows(track, wcfg))]
+    n = sum(len(starts) for _, _, starts in per_track)
     features = np.zeros((n, wcfg.delta - 1, feature_dim(pg, sc, context)))
-    targets = np.zeros((n, wcfg.kappa, 2))
-    last = np.zeros((n, 2))
     obs = np.zeros((n, wcfg.delta, 2))
     fut = np.zeros((n, wcfg.kappa, 2))
     keys = []
-    for scene, track, windows in per_track:
-        if not windows:
-            continue
-        block = build_features(observed_span(track, windows), scene.scene_map, scene.tracks,
-                               pg, sc, context)
-        for window in windows:
-            i = len(keys)
-            features[i] = block[window.start_index : window.start_index + wcfg.delta - 1]
-            targets[i] = target_offsets_for(window)
-            last[i] = window.obs_m[-1]
-            obs[i] = window.obs_m
-            fut[i] = window.fut_m
-            keys.append((window.scene_id, window.ego_id, window.start_index))
-    return FeatureSet(keys, features, targets, last, obs, fut, context)
+    for scene, track, starts in per_track:
+        scene_id = scene.scene_map.scene_id
+        end = starts[-1] + wcfg.delta
+        span = TrajectoryWindow(track.agent_id, scene_id, track.t[:end], track.xy_m[:end],
+                                track.xy_px[:end])
+        block = build_features(span, scene.scene_map, scene.tracks, pg, sc, context)
+        steps = np.asarray(starts)[:, None] + np.arange(wcfg.delta + wcfg.kappa)
+        rows = slice(len(keys), len(keys) + len(starts))
+        features[rows] = block[steps[:, :wcfg.delta - 1]]
+        obs[rows] = track.xy_m[steps[:, :wcfg.delta]]
+        fut[rows] = track.xy_m[steps[:, wcfg.delta:]]
+        keys += [(scene_id, track.agent_id, start) for start in starts]
+    # the first target offset steps from the last observed position
+    targets = np.diff(np.concatenate([obs[:, -1:], fut], axis=1), axis=1)
+    return FeatureSet(keys, features, targets, obs[:, -1].copy(), obs, fut, context)
 
 
 def load_root(root, adapter: str, window: WindowConfig, grid: PolarGridConfig,

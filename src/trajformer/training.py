@@ -36,13 +36,16 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ValueError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+            raise ValueError(f"beta1 and beta2 must lie in (0, 1), got {self.beta1}, {self.beta2}")
+        for name in ("learning_rate", "eps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValueError(f"grad_clip must be empty or positive, got {self.grad_clip}")
 
 
 def l2_loss(pred, target) -> Tensor:

@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from trajformer import autodiff as ad
-from trajformer.data import AGENT_TYPES, AgentTrack, _parse_float, _read_csv, extract_windows
+from trajformer.data import AGENT_TYPES, AgentTrack, TrajectoryWindow, _parse_float, _read_csv
 from trajformer.errors import DataError, DivergenceError
 from trajformer.features import compute_offsets, feature_dim, polar_occupancy, semantic_histogram
 from trajformer.model import (ModelParams, decoder_forward, embed_source, embed_target,
                               encoder_forward, project_output, teacher_forced_offsets)
-from trajformer.pipeline import FeatureSet, target_offsets_for
+from trajformer.pipeline import FeatureSet
 from trajformer.training import AdamState, l2_loss
 
 AGENT_CHANNEL = {"pedestrian": 0, "vehicle": 1, "cyclist": 2}
@@ -121,25 +121,34 @@ def reference_autoregressive(params, features_std, last_observed_pos, kappa):
 
 
 def reference_window_features(scenes, wcfg, pg, sc, context=True):
-    """The per-window feature loop: every window lists the agents whose track
-    overlaps its observed interval, then rebuilds each of its steps from
-    scratch, so a step shared by several windows is computed once per window.
-    Takes resampled scenes; returns the FeatureSet the pipeline must match."""
+    """The per-window feature loop: every window, sliced from its pedestrian
+    track at each stride-aligned start, lists the agents whose track overlaps
+    its observed interval, then rebuilds each of its steps from scratch, so a
+    step shared by several windows is computed once per window. Takes
+    resampled scenes; returns the FeatureSet the pipeline must match."""
     keys, blocks, targets, last, obs, fut = [], [], [], [], [], []
+    total = wcfg.delta + wcfg.kappa
     for scene in scenes:
+        scene_id = scene.scene_map.scene_id
         by_id = {t.agent_id: t for t in scene.tracks}
         for track in scene.tracks:
-            for window in extract_windows(track, wcfg, scene.scene_map.scene_id):
+            if track.agent_type != "pedestrian":
+                continue
+            for start in range(0, len(track) - total + 1, wcfg.stride):
+                seen = slice(start, start + wcfg.delta)
+                window = TrajectoryWindow(track.agent_id, scene_id, track.t[seen],
+                                          track.xy_m[seen], track.xy_px[seen])
+                fut_m = track.xy_m[start + wcfg.delta : start + total]
                 lo, hi = window.t_obs[0] - 1e-9, window.t_obs[-1] + 1e-9
                 refs = [o.agent_id for o in scene.tracks
                         if o.agent_id != track.agent_id and o.t[-1] >= lo and o.t[0] <= hi]
                 blocks.append(_window_features(window, refs, by_id, scene.scene_map, pg, sc,
                                                context))
-                keys.append((window.scene_id, window.ego_id, window.start_index))
-                targets.append(target_offsets_for(window))
+                keys.append((scene_id, track.agent_id, start))
+                targets.append(compute_offsets(np.concatenate([window.obs_m[-1:], fut_m])))
                 last.append(window.obs_m[-1])
                 obs.append(window.obs_m)
-                fut.append(window.fut_m)
+                fut.append(fut_m)
     return FeatureSet(keys, np.array(blocks), np.array(targets), np.array(last), np.array(obs),
                       np.array(fut), context)
 
@@ -278,7 +287,13 @@ _REFERENCE_DUT_LABEL = {"pedestrian": "pedestrian", "ped": "pedestrian", "vehicl
                         "car": "vehicle"}
 
 
-def reference_load_tracks(path, adapter="canonical"):
+def _reference_id(value, path, row_no, column):
+    if value in ("", ".", "..") or "/" in value or "\0" in value:
+        raise DataError(f"{path} row {row_no}: {column} {value!r} is not a plain file name")
+    return value
+
+
+def reference_load_tracks(path, adapter, meters_per_pixel):
     """``data.load_tracks`` with one hand-written branch per adapter."""
     if adapter not in ("canonical", "dut", "ind"):
         raise DataError(f"unknown adapter {adapter!r}")
@@ -299,10 +314,10 @@ def reference_load_tracks(path, adapter="canonical"):
             if adapter == "canonical":
                 sid = rec["scene_id"]
                 if scene_id is None:
-                    scene_id = sid
+                    scene_id = _reference_id(sid, path, row_no, "scene_id")
                 elif sid != scene_id:
                     raise DataError(f"{path} row {row_no}: multiple scene ids ({scene_id!r}, {sid!r})")
-                agent_id = rec["agent_id"]
+                agent_id = _reference_id(rec["agent_id"], path, row_no, "agent_id")
                 agent_type = rec["agent_type"]
                 if agent_type not in AGENT_TYPES:
                     raise DataError(f"{path} row {row_no}: unknown agent_type {agent_type!r}")
@@ -312,7 +327,7 @@ def reference_load_tracks(path, adapter="canonical"):
                 xy_px = (_parse_float(rec["x_px"], path, row_no, "x_px"),
                          _parse_float(rec["y_px"], path, row_no, "y_px"))
             elif adapter == "dut":
-                agent_id = rec["id"]
+                agent_id = _reference_id(rec["id"], path, row_no, "id")
                 label = rec["label"].strip().lower()
                 if label not in _REFERENCE_DUT_LABEL:
                     raise DataError(f"{path} row {row_no}: unknown label {rec['label']!r}")
@@ -323,7 +338,7 @@ def reference_load_tracks(path, adapter="canonical"):
                 xy_px = (_parse_float(rec["x_px"], path, row_no, "x_px"),
                          _parse_float(rec["y_px"], path, row_no, "y_px"))
             else:  # ind
-                agent_id = rec["trackId"]
+                agent_id = _reference_id(rec["trackId"], path, row_no, "trackId")
                 cls = rec["class"].strip().lower()
                 if cls not in _REFERENCE_IND_CLASS:
                     raise DataError(f"{path} row {row_no}: unknown class {rec['class']!r}")
@@ -350,7 +365,7 @@ def reference_load_tracks(path, adapter="canonical"):
         scene_id = "" if adapter == "canonical" else path.parent.name
     tracks = []
     for agent_id, bucket in rows.items():
-        px = np.array(bucket["px"]) if bucket["px"] else None
-        tracks.append(AgentTrack(agent_id, bucket["type"], np.array(bucket["t"]),
-                                 np.array(bucket["m"]), px))
+        xy_m = np.array(bucket["m"])
+        px = xy_m / meters_per_pixel if adapter == "ind" else np.array(bucket["px"])
+        tracks.append(AgentTrack(agent_id, bucket["type"], np.array(bucket["t"]), xy_m, px))
     return tracks, scene_id

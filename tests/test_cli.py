@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -387,7 +388,10 @@ def test_predict_checkpoint_without_settings_exits_2(tmp_path, dataset, capsys):
     no_context = tmp_path / "no_context.ckpt"
     save_checkpoint(no_context, ckpt.params, ckpt.stats,
                     {k: v for k, v in ckpt.meta.items() if k != "context"})
-    for path in (bare, bad, no_context):
+    zero_heads = tmp_path / "zero_heads.ckpt"
+    arrays, header = load_bundle(out / "model.ckpt")
+    save_bundle(zero_heads, arrays, {**header, "config": {**header["config"], "n_heads": 0}})
+    for path in (bare, bad, no_context, zero_heads):
         pred_dir = tmp_path / f"pred_{path.stem}"
         assert run("predict", "--checkpoint", str(path), "--root", str(dataset),
                    "--out", str(pred_dir)) == 2
@@ -560,8 +564,12 @@ def test_resume_with_matching_settings_keeps_the_stats(tmp_path, dataset):
     (["--set", f"data.train_root={CONFIG_DIR / 'desk.cfg'}"], "data.train_root"),
     (["--set", "window.delta"], "'window.delta'"),
     (["--set", "window.deltas=3"], "'window.deltas'"),
+    (["--set", "model.n_heads=0"], "model.n_heads"),
+    (["--set", "train.grad_clip=-1"], "train.grad_clip"),
+    (["--set", "window.rate_hz=nan"], "window.rate_hz"),
 ], ids=["no_train_root", "unknown_adapter", "no_horizons", "absent_test_root",
-        "train_root_is_file", "set_without_equals", "unknown_key"])
+        "train_root_is_file", "set_without_equals", "unknown_key", "zero_heads",
+        "negative_grad_clip", "nan_rate"])
 def test_preprocess_guards_exit_1_and_write_nothing(tmp_path, dataset, capsys, extra, named):
     out = tmp_path / "out"
     capsys.readouterr()
@@ -628,3 +636,30 @@ def test_predict_guards_exit_1_and_write_nothing(tmp_path, dataset, capsys, case
                "--out", str(pred_dir), *extra) == 1
     assert named in capsys.readouterr().err
     assert not pred_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["escaping_scene_id", "agent_id_with_slash",
+                                  "duplicate_scene_id"])
+def test_ids_that_cannot_name_outputs_exit_2_and_write_nothing(tmp_path, dataset, capsys, case):
+    out = train_pipeline(tmp_path, dataset)
+    scene = dataset / "linear_s1_00"
+    meta, tracks = scene / "scene.meta", scene / "tracks.csv"
+    if case == "escaping_scene_id":  # meta and tracks agree on an id that climbs out
+        for path in (meta, tracks):
+            path.write_text(path.read_text().replace("linear_s1_00", "../../escaped"))
+        named = f"{meta} line 3: scene_id '../../escaped'"
+    elif case == "agent_id_with_slash":  # an SVG name holds the agent id
+        tracks.write_text(tracks.read_text().replace(",ped0,", ",x/ped0,"))
+        named = f"{tracks} row 2: agent_id 'x/ped0'"
+    else:  # the second scene's outputs would overwrite the first's
+        copy = dataset / "linear_s1_00_copy"
+        shutil.copytree(scene, copy)
+        named = f"{scene} and {copy} both hold scene 'linear_s1_00'"
+    target = tmp_path / "target"
+    for argv in (["preprocess", *desk_args(dataset, target)],
+                 ["predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(dataset),
+                  "--out", str(target), "--plot"]):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert named in capsys.readouterr().err
+        assert not target.exists() and not (tmp_path / "escaped").exists()

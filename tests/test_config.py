@@ -77,6 +77,25 @@ def test_seed_and_feature_dim_are_derived():
     ("train.grad_clip", "x", "number"),
     ("eval.at_horizon", "maybe", "true/false"),
     ("context.enabled", "2", "true/false"),
+    # values that ended in tracebacks, diverged or trained in reverse
+    ("model.n_heads", "0", ">= 1"),
+    ("model.n_heads", "-1", ">= 1"),
+    ("model.d_model", "0", ">= 2"),
+    ("model.d_model", "-2", ">= 2"),
+    ("model.d_ff", "-4", ">= 0"),
+    ("train.grad_clip", "-1", "positive"),
+    ("train.grad_clip", "0", "positive"),
+    ("train.eps", "0", "positive"),
+    ("train.eps", "-1", "positive"),
+    ("train.checkpoint_every", "-1", ">= 0"),
+    ("window.rate_hz", "nan", "finite"),
+    ("semantic.d_max_px", "nan", "finite"),
+    ("semantic.d_max_px", "inf", "finite"),
+    ("eval.horizons", "nan", "finite"),
+    ("eval.horizons", "1,inf", "finite"),
+    ("eval.kalman_measurement_noise", "nan", "finite"),
+    ("eval.kalman_measurement_noise", "0", "> 0"),
+    ("eval.kalman_process_noise", "-1", ">= 0"),
 ])
 def test_bad_value_names_its_key(key, value, expected):
     with pytest.raises(ConfigError, match=expected) as exc:

@@ -1,13 +1,13 @@
 import re
+import shutil
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from trajformer.data import (AgentTrack, WindowConfig, attach_pixel_coords, extract_windows,
-                             load_dataset_root, load_scene_dir, load_tracks, resample,
-                             write_tracks)
+from trajformer.data import (AgentTrack, WindowConfig, extract_windows, load_dataset_root,
+                             load_scene_dir, load_tracks, resample, write_tracks)
 from trajformer.errors import DataError
 from trajformer.maps import load_scene_map, read_png_gray, write_pgm, write_png_gray
 
@@ -36,7 +36,7 @@ def test_load_canonical_two_agents(tmp_path):
             rows.append(["s0", agent, "pedestrian", i * 0.1, i, 0.0, i * 10, 0.0])
     path = tmp_path / "tracks.csv"
     write_canonical(path, rows)
-    tracks, scene_id = load_tracks(path)
+    tracks, scene_id = load_tracks(path, "canonical", 0.1)
     assert scene_id == "s0"
     assert len(tracks) == 2
     assert all(len(t) == 3 for t in tracks)
@@ -45,7 +45,7 @@ def test_load_canonical_two_agents(tmp_path):
 def test_load_empty_file_header_only(tmp_path):
     path = tmp_path / "tracks.csv"
     write_canonical(path, [])
-    tracks, _ = load_tracks(path)
+    tracks, _ = load_tracks(path, "canonical", 0.1)
     assert tracks == []
 
 
@@ -63,7 +63,7 @@ def test_load_counts_match_groupby_oracle(tmp_path):
         rows.append(["s0", agent, "pedestrian", t, t, 0.0, t * 10, 0.0])
     path = tmp_path / "tracks.csv"
     write_canonical(path, rows)
-    tracks, _ = load_tracks(path)
+    tracks, _ = load_tracks(path, "canonical", 0.1)
     assert {t.agent_id: len(t) for t in tracks} == counts
 
 
@@ -72,7 +72,7 @@ def test_unknown_agent_type_names_row(tmp_path):
     write_canonical(path, [["s0", "a", "pedestrian", 0.0, 0, 0, 0, 0],
                            ["s0", "b", "unicycle", 0.1, 0, 0, 0, 0]])
     with pytest.raises(DataError) as exc:
-        load_tracks(path)
+        load_tracks(path, "canonical", 0.1)
     assert "row 3" in str(exc.value)
     assert "unicycle" in str(exc.value)
 
@@ -83,7 +83,7 @@ def test_non_finite_coordinate_names_file_and_row(tmp_path, value):
     write_canonical(path, [["s0", "a", "pedestrian", 0.0, 0, 0, 0, 0],
                            ["s0", "a", "pedestrian", 0.1, value, 0, 0, 0]])
     with pytest.raises(DataError, match=re.escape(f"{path} row 3: non-finite x_m")):
-        load_tracks(path)
+        load_tracks(path, "canonical", 0.1)
 
 
 def test_non_monotone_timestamps_error(tmp_path):
@@ -91,7 +91,7 @@ def test_non_monotone_timestamps_error(tmp_path):
     write_canonical(path, [["s0", "a", "pedestrian", 0.2, 0, 0, 0, 0],
                            ["s0", "a", "pedestrian", 0.1, 0, 0, 0, 0]])
     with pytest.raises(DataError, match="non-monotone"):
-        load_tracks(path)
+        load_tracks(path, "canonical", 0.1)
 
 
 def test_dut_adapter(tmp_path):
@@ -103,7 +103,7 @@ def test_dut_adapter(tmp_path):
         for i in range(4):
             f.write(f"12,{i},ped,{i * 0.05},0.0,1.2,0.0,{i * 0.5},0.0\n")
         f.write("9,0,car,5.0,5.0,0.0,0.0,50.0,50.0\n")
-    tracks, scene_id = load_tracks(path, adapter="dut")
+    tracks, scene_id = load_tracks(path, "dut", 0.1)
     assert scene_id == "scene7"
     by_id = {t.agent_id: t for t in tracks}
     assert by_id["12"].agent_type == "pedestrian"
@@ -112,6 +112,7 @@ def test_dut_adapter(tmp_path):
 
 
 def test_ind_adapter_attaches_pixels_later(tmp_path):
+    # the ind schema has no pixel columns: the loader derives them from meters
     path = tmp_path / "inter0"
     path.mkdir()
     path = path / "tracks.csv"
@@ -120,13 +121,12 @@ def test_ind_adapter_attaches_pixels_later(tmp_path):
         f.write("3,0,1.0,2.0,0.5,0.0,pedestrian\n")
         f.write("3,1,1.05,2.0,0.5,0.0,pedestrian\n")
         f.write("4,0,9.0,9.0,0.0,0.0,bicycle\n")
-    tracks, _ = load_tracks(path, adapter="ind")
+    tracks, _ = load_tracks(path, "ind", 0.05)
     by_id = {t.agent_id: t for t in tracks}
     assert by_id["4"].agent_type == "cyclist"
-    assert by_id["3"].xy_px is None
     assert np.isclose(by_id["3"].t[1], 1 / 25.0)
-    attached = attach_pixel_coords(by_id["3"], 0.05)
-    assert np.allclose(attached.xy_px, attached.xy_m / 0.05)
+    for track in tracks:
+        assert np.array_equal(track.xy_px, track.xy_m / 0.05)
 
 
 def test_canonical_roundtrip(tmp_path):
@@ -139,10 +139,10 @@ def test_canonical_roundtrip(tmp_path):
                      repr(x / 0.1), repr(y / 0.1)])
     src = tmp_path / "in.csv"
     write_canonical(src, rows)
-    tracks, scene_id = load_tracks(src)
+    tracks, scene_id = load_tracks(src, "canonical", 0.1)
     dst = tmp_path / "out.csv"
     write_tracks(dst, tracks, scene_id)
-    tracks2, scene_id2 = load_tracks(dst)
+    tracks2, scene_id2 = load_tracks(dst, "canonical", 0.1)
     assert scene_id2 == scene_id
     assert np.array_equal(tracks[0].t, tracks2[0].t)
     assert np.array_equal(tracks[0].xy_m, tracks2[0].xy_m)
@@ -151,12 +151,13 @@ def test_canonical_roundtrip(tmp_path):
 
 def test_write_tracks_failure_keeps_previous_file(tmp_path):
     good = AgentTrack("a", "pedestrian", np.arange(3) * 0.1, np.ones((3, 2)), np.ones((3, 2)) * 10)
-    no_px = AgentTrack("b", "pedestrian", np.arange(3) * 0.1, np.ones((3, 2)), None)
+    short_px = AgentTrack("b", "pedestrian", np.arange(3) * 0.1, np.ones((3, 2)), np.ones((3, 2)))
+    short_px.xy_px = short_px.xy_px[:1]  # fails on the track's second row
     path = tmp_path / "tracks.csv"
     write_tracks(path, [good], "s0")
     before = path.read_bytes()
-    with pytest.raises(DataError, match="pixel coordinates"):
-        write_tracks(path, [good, no_px], "s1")
+    with pytest.raises(IndexError):
+        write_tracks(path, [good, short_px], "s1")
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tracks.csv"]
 
@@ -236,45 +237,46 @@ def test_resample_uniform_spacing_invariant():
 
 def test_window_count_exact_fit():
     cfg = WindowConfig(delta=30, kappa=50, stride=1)
-    assert len(extract_windows(make_track(n=80), cfg)) == 1
+    assert list(extract_windows(make_track(n=80), cfg)) == [0]
 
 
 def test_window_count_too_short():
     cfg = WindowConfig(delta=30, kappa=50, stride=1)
-    assert extract_windows(make_track(n=79), cfg) == []
+    assert list(extract_windows(make_track(n=79), cfg)) == []
 
 
 def test_window_count_stride_enumeration():
     cfg = WindowConfig(delta=30, kappa=50, stride=5)
-    windows = extract_windows(make_track(n=120), cfg)
-    assert len(windows) == (120 - 80) // 5 + 1 == 9
+    starts = extract_windows(make_track(n=120), cfg)
+    assert len(starts) == (120 - 80) // 5 + 1 == 9
+    assert starts[-1] + 80 <= 120 < starts[-1] + 5 + 80
 
 
 def test_windows_only_for_pedestrians():
     cfg = WindowConfig(delta=10, kappa=10)
-    assert extract_windows(make_track(agent_type="vehicle"), cfg) == []
+    assert list(extract_windows(make_track(agent_type="vehicle"), cfg)) == []
 
 
 def test_window_never_mixes_agents():
     cfg = WindowConfig(delta=10, kappa=10, stride=7)
     ego = make_track("ego", n=60)
     other = make_track("other", n=60, v=(0.0, 1.0))
-    windows = extract_windows(ego, cfg, "s0")
-    assert [w.start_index for w in windows] == [0, 7, 14, 21, 28, 35]
-    for w in windows:
-        full = np.concatenate([w.obs_m, w.fut_m])
-        start = w.start_index
-        assert np.array_equal(full, ego.xy_m[start : start + 20])
-        assert np.array_equal(w.obs_px, ego.xy_px[start : start + 10])
+    starts = extract_windows(ego, cfg)
+    assert list(starts) == [0, 7, 14, 21, 28, 35]
+    for start in starts:
+        full = ego.xy_m[start : start + 20]
+        assert len(full) == 20
         assert not np.array_equal(full, other.xy_m[start : start + 20])
-        assert w.ego_id == "ego" and w.scene_id == "s0"
 
 
 def test_window_slices_are_contiguous():
     cfg = WindowConfig(delta=5, kappa=3, stride=2, rate_hz=10.0)
-    for w in extract_windows(make_track(n=30), cfg):
-        assert len(w.obs_m) == 5 and len(w.fut_m) == 3
-        assert np.max(np.abs(np.diff(w.t_obs) - 0.1)) < 1e-9
+    track = make_track(n=30)
+    starts = extract_windows(track, cfg)
+    assert list(starts) == list(range(0, 23, 2))
+    for start in starts:
+        assert len(track.t[start : start + 8]) == 8
+        assert np.max(np.abs(np.diff(track.t[start : start + 5]) - 0.1)) < 1e-9
 
 
 # ------------------------------------------------------------ label maps
@@ -417,6 +419,40 @@ def test_load_dataset_root(tmp_path):
     make_scene_dir(tmp_path, "s1")
     scenes = load_dataset_root(tmp_path)
     assert [s.scene_map.scene_id for s in scenes] == ["s0", "s1"]
+
+
+BAD_IDS = ["", ".", "..", "../escaped", "x/ped0", "nul\0id"]
+
+
+@pytest.mark.parametrize("bad_id", BAD_IDS)
+@pytest.mark.parametrize("column", ["scene_id", "agent_id"])
+def test_id_that_is_not_a_file_name_names_file_and_row(tmp_path, column, bad_id):
+    path = tmp_path / "tracks.csv"
+    ids = {"scene_id": "s0", "agent_id": "a", column: bad_id}
+    write_canonical(path, [[ids["scene_id"], "a", "pedestrian", 0.0, 0, 0, 0, 0],
+                           [ids["scene_id"], ids["agent_id"], "pedestrian", 0.1, 0, 0, 0, 0]])
+    row = 2 if column == "scene_id" else 3
+    message = f"{path} row {row}: {column} {bad_id!r} is not a plain file name"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_tracks(path, "canonical", 0.1)
+
+
+@pytest.mark.parametrize("bad_id", BAD_IDS)
+def test_scene_meta_id_that_is_not_a_file_name_names_file_and_line(tmp_path, bad_id):
+    scene_dir = make_scene_dir(tmp_path)
+    meta = scene_dir / "scene.meta"
+    meta.write_text(meta.read_text().replace("scene_id=s0", f"scene_id={bad_id}"))
+    message = f"{meta} line 1: scene_id {bad_id.strip()!r} is not a plain file name"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_scene_dir(scene_dir)
+
+
+def test_two_scene_dirs_with_one_scene_id_name_both(tmp_path):
+    first = make_scene_dir(tmp_path, "s0")
+    second = tmp_path / "s0_copy"
+    shutil.copytree(first, second)
+    with pytest.raises(DataError, match=re.escape(f"{first} and {second} both hold scene 's0'")):
+        load_dataset_root(tmp_path)
 
 
 @pytest.mark.parametrize("mpp", ["abc", "nan", "0", "-0.1"])

@@ -174,14 +174,10 @@ def test_semantics_always_a_distribution():
 
 # ------------------------------------------------------- build_features
 
-def make_window(delta=6, kappa=4, rate=10.0, v=(1.0, 0.5), mpp=0.1):
-    t = np.arange(delta + kappa) / rate
+def make_window(delta=6, rate=10.0, v=(1.0, 0.5), mpp=0.1):
+    t = np.arange(delta) / rate
     xy = np.array([1.0, 1.0]) + np.array(v) * t[:, None]
-    return TrajectoryWindow(
-        ego_id="ego", scene_id="s", start_index=0,
-        t_obs=t[:delta], obs_m=xy[:delta], obs_px=xy[:delta] / mpp,
-        fut_m=xy[delta:],
-    )
+    return TrajectoryWindow(ego_id="ego", scene_id="s", t_obs=t, obs_m=xy, obs_px=xy / mpp)
 
 
 def test_build_features_no_agents_uniform_road():

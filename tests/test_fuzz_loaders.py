@@ -49,9 +49,9 @@ LOADERS = {
     "map.pgm": read_pgm,
     "map_ascii.pgm": read_pgm,
     "map.png": read_png_gray,
-    "tracks.csv": load_tracks,
-    "dut.csv": lambda p: load_tracks(p, "dut"),
-    "ind.csv": lambda p: load_tracks(p, "ind"),
+    "tracks.csv": lambda p: load_tracks(p, "canonical", 0.1),
+    "dut.csv": lambda p: load_tracks(p, "dut", 0.1),
+    "ind.csv": lambda p: load_tracks(p, "ind", 0.1),
     "scene.meta": parse_scene_meta,
     "run.cfg": parse_kv_file,
 }

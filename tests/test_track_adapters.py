@@ -28,7 +28,8 @@ VALID_LABELS = {
 # valid labels, their case and space variants, and labels of other schemas
 ODD_LABELS = ["Pedestrian", " ped ", "CAR", " Bicycle", "truck_bus", "cyclist", "bus", ""]
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e999", "x", "", " 3.5", "0x10"]
-MUTATIONS = ["label", "number", "short", "time", "scene", "header", "extra", "several"]
+BAD_IDS = ["", ".", "..", "../up", "x/ped0", "nul\0id"]
+MUTATIONS = ["label", "number", "short", "time", "scene", "header", "extra", "several", "id"]
 
 
 def generate(rng, adapter):
@@ -70,6 +71,8 @@ def generate(rng, adapter):
             header.remove(header[rng.integers(len(header))])
         elif mutation == "extra":
             header.append("note")
+        elif mutation == "id":  # ids name output files
+            row[agent_col] = BAD_IDS[rng.integers(len(BAD_IDS))]
         elif mutation == "several":  # faults in several cells of one row: which is reported
             for c in rng.choice(header, size=rng.integers(2, len(header))):
                 row[c] = {type_col: "bus", "scene_id": "s1", agent_col: row[agent_col]}.get(
@@ -89,12 +92,11 @@ def write(path, header, rows):
 
 def outcome(loader, path, adapter):
     try:
-        tracks, scene_id = loader(path, adapter)
+        tracks, scene_id = loader(path, adapter, 0.25)
     except Exception as exc:
         return type(exc), str(exc)
     return scene_id, [(t.agent_id, t.agent_type, t.t.shape, t.t.tobytes(), t.xy_m.shape,
-                       t.xy_m.tobytes(), None if t.xy_px is None else t.xy_px.tobytes())
-                      for t in tracks]
+                       t.xy_m.tobytes(), t.xy_px.shape, t.xy_px.tobytes()) for t in tracks]
 
 
 def test_the_table_names_every_schema_by_its_columns():
@@ -119,7 +121,8 @@ def test_table_loader_matches_reference_loader(tmp_path, adapter):
             loaded += 1
     assert loaded >= 40
     expected_faults = {"unknown", "bad", "non-finite", "fewer", "non-monotone", "agent",
-                       "missing"} | ({"multiple"} if adapter == "canonical" else set())
+                       "missing", ROLES[adapter][0]} | ({"multiple"} if adapter == "canonical"
+                                                      else set())
     assert expected_faults <= faults, faults
 
 
