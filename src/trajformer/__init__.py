@@ -16,6 +16,6 @@ from .features import (FeatureStats, PolarGridConfig, SemanticConfig, build_feat
 from .maps import SEMANTIC_LABELS, SceneMap, load_scene_map
 from .model import (ModelConfig, ModelParams, load_checkpoint, positional_encoding,
                     predict_autoregressive, save_checkpoint, teacher_forced_offsets)
-from .training import AdamState, TrainConfig, adam_step, l2_loss, train, verify_gradients
+from .training import AdamState, TrainConfig, adam_step, l2_loss, train
 
 __version__ = "0.1.0"

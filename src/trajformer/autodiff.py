@@ -1,15 +1,15 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Just enough machinery for an encoder/decoder transformer: matrix product,
-elementwise arithmetic, softmax, layer normalization, affine maps, reshapes,
-concatenation, and fused feed-forward and scaled-dot-product attention
-blocks. Matrix products, affine maps and attention act on the last two axes
-and treat any leading axes as a batch, so one tape covers a whole
-minibatch. The fused blocks and layer normalization recompute their inner
-values in the backward pass instead of keeping them on the tape. Every operation
-records its inputs on the output tensor, so the computation graph is the
-web of parent references; ``backward`` walks it once in reverse topological
-order and returns the gradient of a scalar seed with respect to every leaf.
+Just enough machinery for an encoder/decoder transformer: elementwise
+arithmetic, affine maps, layer normalization, reshapes, concatenation, and
+fused feed-forward and scaled-dot-product attention blocks over the last two
+axes, any leading axes being a batch, so one tape covers a whole minibatch.
+Each block's forward arithmetic is one plain-numpy kernel (``affine_rows``,
+``relu_rows``, ``attention_weights``, ``normalize_rows``), shared with the
+model's tape-free forward; the fused blocks rerun it in the backward pass
+instead of keeping inner values on the tape. ``backward`` walks the graph of
+parent references once in reverse topological order and returns the
+gradient of a scalar seed with respect to every leaf.
 """
 
 from __future__ import annotations
@@ -106,43 +106,42 @@ def _row_gemm_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray):
     return _rows_times(g, w.T), x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def matmul(a, b) -> Tensor:
-    """(..., n, d) @ (d, m): every row of ``a`` times the one matrix ``b``."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return Tensor(_rows_times(a.data, b.data), (a, b), "matmul",
-                  lambda g: _row_gemm_vjp(a.data, b.data, g))
+# Forward kernels on plain arrays: the fused nodes below compute their values and
+# backward recomputations with these, and the model's tape-free forward calls them.
+
+def affine_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b over the rows of x (..., n, d)."""
+    return _rows_times(x, w) + b
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.data.T, (a,), "transpose", lambda g: (g.T,))
+def relu_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(x @ w + b) over the rows of x: the feed-forward hidden layer."""
+    h = affine_rows(x, w, b)
+    h *= h > 0
+    return h
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    return Tensor(a.data * mask, (a,), "relu", lambda g: (g * mask,))
+def attention_weights(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """softmax(q k^T / sqrt(d_k)) in one buffer, with -inf added where ``mask`` is True."""
+    w = q @ k.swapaxes(-1, -2)
+    w *= 1.0 / np.sqrt(q.shape[-1])
+    if mask is not None:
+        w += np.where(mask, -np.inf, 0.0)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` with max-subtraction for stability.
-
-    Entries of -inf are allowed (masked-out attention scores) and produce
-    exact zeros; a slice that is entirely -inf is the caller's error.
-    """
-    a = as_tensor(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ValueError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    m = np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return Tensor(y, (a,), "softmax", vjp)
+def normalize_rows(s: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Layer norm over the last axis: the output, row means and inverse deviations."""
+    mu = s.mean(axis=-1, keepdims=True)
+    xc = s - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    out = xc * inv
+    out *= gain
+    out += bias
+    return out, mu, inv
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
@@ -170,14 +169,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
     def total():
         return x.data if residual is None else x.data + inputs[1].data
 
-    s = total()
-    mu = s.mean(axis=-1, keepdims=True)
-    xc = s - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    out = xc * inv
-    out *= gain.data
-    out += bias.data
-    del s, xc
+    out, mu, inv = normalize_rows(total(), gain.data, bias.data, eps)
 
     def vjp(g):
         xhat = (total() - mu) * inv  # recomputed rather than kept on the tape
@@ -205,7 +197,7 @@ def affine(x, w, b) -> Tensor:
     def vjp(g):
         return (*_row_gemm_vjp(x.data, w.data, g), _unbroadcast(g, b.shape))
 
-    return Tensor(_rows_times(x.data, w.data) + b.data, (x, w, b), "affine", vjp)
+    return Tensor(affine_rows(x.data, w.data, b.data), (x, w, b), "affine", vjp)
 
 
 def feed_forward(x, w1, b1, w2, b2) -> Tensor:
@@ -220,19 +212,14 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
         raise ValueError(f"feed_forward: incompatible shapes {x.shape}, {w1.shape}, "
                          f"{b1.shape}, {w2.shape}, {b2.shape}")
 
-    def hidden():
-        h = _rows_times(x.data, w1.data) + b1.data
-        h *= h > 0
-        return h
-
     def vjp(g):
-        h = hidden()
+        h = relu_rows(x.data, w1.data, b1.data)
         dh, dw2 = _row_gemm_vjp(h, w2.data, g)
         dh *= h > 0
         dx, dw1 = _row_gemm_vjp(x.data, w1.data, dh)
         return dx, dw1, _unbroadcast(dh, b1.shape), dw2, _unbroadcast(g, b2.shape)
 
-    out = _rows_times(hidden(), w2.data) + b2.data
+    out = affine_rows(relu_rows(x.data, w1.data, b1.data), w2.data, b2.data)
     return Tensor(out, (x, w1, b1, w2, b2), "feed_forward", vjp)
 
 
@@ -261,27 +248,16 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarr
             or q.shape[-1] != k.shape[-1]):
         raise ValueError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")
     s = 1.0 / np.sqrt(q.shape[-1])
-    bias = None if mask is None else np.where(mask, -np.inf, 0.0)
-
-    def weights():  # softmax of the scaled, masked scores, in one buffer
-        w = q.data @ k.data.swapaxes(-1, -2)
-        w *= s
-        if bias is not None:
-            w += bias
-        w -= np.max(w, axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        return w
 
     def vjp(g):
-        w = weights()  # recomputed rather than kept on the tape
+        w = attention_weights(q.data, k.data, mask)  # recomputed rather than kept on the tape
         ds = g @ v.data.swapaxes(-1, -2)  # d(weights), turned into d(scores) in place
         ds -= (ds * w).sum(axis=-1, keepdims=True)
         ds *= w
         ds *= s
         return ds @ k.data, ds.swapaxes(-1, -2) @ q.data, w.swapaxes(-1, -2) @ g
 
-    w = weights()
+    w = attention_weights(q.data, k.data, mask)
     out = w @ v.data
     if out.ndim > 2:  # lay out (..., H, Lq, d_k) with Lq outside H: merging heads is a view
         out = np.ascontiguousarray(out.swapaxes(-3, -2)).swapaxes(-3, -2)

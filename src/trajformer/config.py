@@ -183,6 +183,10 @@ def build_run_config(path=None, overrides: list[str] | None = None) -> RunConfig
             horizons.append(_to_float(token, "eval.horizons"))
     if not horizons:
         raise ConfigError("eval.horizons must list at least one horizon")
+    for h in horizons:
+        if not 1 <= int(round(h * window.rate_hz)) <= window.kappa:
+            raise ConfigError(f"eval.horizons: {h:g}s is {int(round(h * window.rate_hz))} steps "
+                              f"at window.rate_hz, outside 1..window.kappa ({window.kappa})")
 
     for key in ("data.train_root", "data.test_root"):
         if values[key] and not Path(values[key]).is_dir():

@@ -74,10 +74,11 @@ class AgentTrack:
         if self.agent_type not in AGENT_TYPES:
             raise DataError(f"unknown agent type {self.agent_type!r} for agent {self.agent_id}")
         self.t = np.asarray(self.t, dtype=np.float64)
-        self.xy_m = np.asarray(self.xy_m, dtype=np.float64)
-        self.xy_px = np.asarray(self.xy_px, dtype=np.float64)
-        if len(self.t) != len(self.xy_m):
-            raise DataError(f"agent {self.agent_id}: {len(self.t)} times vs {len(self.xy_m)} positions")
+        for name in ("xy_m", "xy_px"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            if getattr(self, name).shape != (len(self.t), 2):
+                raise DataError(f"agent {self.agent_id}: {len(self.t)} times vs {name} "
+                                f"of shape {getattr(self, name).shape}")
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise DataError(f"agent {self.agent_id}: timestamps not strictly increasing")
 

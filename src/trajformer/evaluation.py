@@ -215,19 +215,6 @@ def emit_report(table: MetricsTable, path, fmt: str = "csv") -> None:
                                  repr(float(r.ade_m)), repr(float(r.rmse_m)), r.n_windows])
 
 
-def load_report(path) -> MetricsTable:
-    table = MetricsTable()
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != _CSV_HEADER:
-            raise DataError(f"{path}: unexpected report header {reader.fieldnames}")
-        for rec in reader:
-            table.rows.append(MetricsRow(rec["dataset"], rec["method"], float(rec["horizon_s"]),
-                                         float(rec["ade_m"]), float(rec["rmse_m"]),
-                                         int(rec["n_windows"])))
-    return table
-
-
 def render_markdown(table: MetricsTable) -> str:
     """One block per dataset: horizons down the rows, methods across, ADE/RMSE cells."""
     rows = table.sorted_rows()

@@ -133,30 +133,9 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------- PNG
-# minimal grayscale-8 codec: IHDR/IDAT/IEND, filter types 0-4, no interlace
+# minimal grayscale-8 reader: IHDR/IDAT/IEND, filter types 0-4, no interlace
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
-
-
-def _png_chunk(kind: bytes, payload: bytes) -> bytes:
-    return (
-        struct.pack(">I", len(payload))
-        + kind
-        + payload
-        + struct.pack(">I", zlib.crc32(kind + payload) & 0xFFFFFFFF)
-    )
-
-
-def write_png_gray(path, pixels: np.ndarray) -> None:
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    h, w = pixels.shape
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)  # 8-bit grayscale
-    raw = b"".join(b"\x00" + pixels[r].tobytes() for r in range(h))
-    with open(path, "wb") as f:
-        f.write(_PNG_SIG)
-        f.write(_png_chunk(b"IHDR", ihdr))
-        f.write(_png_chunk(b"IDAT", zlib.compress(raw, 6)))
-        f.write(_png_chunk(b"IEND", b""))
 
 
 def _paeth(a: int, b: int, c: int) -> int:

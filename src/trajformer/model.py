@@ -11,14 +11,15 @@ so one forward and one backward cover the whole minibatch, and each
 attention and feed-forward block is one fused node. A single (L, F) window
 runs the same code without the batch axis.
 
-Inference is a separate plain-numpy forward pass over a batch of windows:
-the encoder runs once and each decoder layer's cross-attention keys/values
-are computed once from its memory; each decoder layer keeps a key/value
-cache that grows by one row per emitted offset, and only the newest row
-goes through the decoder. Under the causal mask, with row-wise feed-forward
-and post-norm, earlier decoder rows never change, so this equals re-running
-the decoder over the whole prefix. Absolute positions are rebuilt by
-cumulative sum from the last observed position.
+Inference and validation share one plain-numpy forward over a batch of
+windows, built from the tape's layer kernels. The encoder and each decoder
+layer's cross-attention keys/values run once; the decoder takes rows at any
+steps and appends their self-attention keys/values to a per-layer cache.
+Teacher forcing passes all kappa rows at once, bit-equal to the tape; the
+rollout passes one row per emitted offset, which under the causal mask,
+row-wise feed-forward and post-norm equals re-running the decoder over the
+whole prefix. Positions are the cumulative sum of offsets from the last
+observed position.
 """
 
 from __future__ import annotations
@@ -350,76 +351,75 @@ def predict_autoregressive(
         )
     if last.shape != (len(feats), cfg.out_dim):
         raise ValueError(f"last positions {last.shape} do not match {len(feats)} windows")
-    weights = params.arrays()
-    offsets = np.empty((len(feats), kappa, cfg.out_dim))
-    chunk = decode_chunk_size(cfg, feats.shape[1], kappa)
-    for lo in range(0, len(feats), chunk):
-        offsets[lo:lo + chunk] = _decode(weights, cfg, feats[lo:lo + chunk], kappa, lo)
-    positions = last[:, None, :] + np.cumsum(offsets, axis=1)
+    positions = last[:, None, :] + np.cumsum(_decode(params, feats, kappa), axis=1)
     return positions[0] if single else positions
 
 
-def _decode(w: dict, cfg: ModelConfig, feats: np.ndarray, kappa: int, first: int) -> np.ndarray:
-    """Offsets (B, kappa, out_dim) for one chunk; ``first`` numbers its windows."""
-    b, src_len, _ = feats.shape
-    h, d_k, d = cfg.n_heads, cfg.d_k, cfg.d_model
+def teacher_forced_numpy(params: ModelParams, features_std: np.ndarray,
+                         target_offsets: np.ndarray) -> np.ndarray:
+    """``teacher_forced_offsets(...).data`` for float64 windows, bit for bit, off the tape."""
+    return _decode(params, features_std, target_offsets.shape[1], target_offsets)
 
-    def heads(x):  # (B*T, d) -> (B, H, T, d_k)
-        return x.reshape(b, -1, h, d_k).transpose(0, 2, 1, 3)
 
-    def attend(q, k, v, prefix):  # heads in, (B*Tq, d) out
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d_k))
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        merged = ((e / e.sum(axis=-1, keepdims=True)) @ v).transpose(0, 2, 1, 3).reshape(-1, d)
-        return merged @ w[f"{prefix}.wo"] + w[f"{prefix}.bo"]
+def _decode(params: ModelParams, feats: np.ndarray, kappa: int,
+            targets: np.ndarray | None = None) -> np.ndarray:
+    """Offsets (B, kappa, out_dim), free-running or teacher-forced on ``targets``,
+    in chunks of ``decode_chunk_size`` windows."""
+    cfg, w = params.config, params.arrays()
+    offsets = np.empty((len(feats), kappa, cfg.out_dim))
+    tgt_pe = positional_encoding(kappa, cfg.d_model)
+
+    def heads(x):  # (B, T, d) -> (B, H, T, d_k)
+        return x.reshape(*x.shape[:-1], cfg.n_heads, cfg.d_k).swapaxes(-3, -2)
 
     def proj(x, prefix, p):
-        return x @ w[f"{prefix}.w{p}"] + w[f"{prefix}.b{p}"]
+        return ad.affine_rows(x, w[f"{prefix}.w{p}"], w[f"{prefix}.b{p}"])
 
-    def norm(x, prefix):
-        xc = x - x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
-        return xc * inv * w[f"{prefix}.gain"] + w[f"{prefix}.bias"]
+    def attend(x, k, v, prefix, mask=None):  # rows (B, T, d) against key/value heads
+        out = ad.attention_weights(heads(proj(x, prefix, "q")), k, mask) @ v
+        return proj(out.swapaxes(-3, -2).reshape(x.shape), prefix, "o")
 
-    def feed_forward(x, prefix):
-        hidden = proj(x, prefix, 1)
-        return proj(hidden * (hidden > 0), prefix, 2)
+    def sublayer(x, out, norm):  # residual add, then layer norm
+        return ad.normalize_rows(x + out, w[f"{norm}.gain"], w[f"{norm}.bias"], 1e-5)[0]
 
-    # encoder over the whole chunk, rows flattened to (B*L, d)
-    x = (feats.reshape(-1, cfg.feature_dim) @ w["src_embed.w"] + w["src_embed.b"]
-         + np.tile(positional_encoding(src_len, d), (b, 1)))
-    for i in range(cfg.n_layers):
-        p = f"enc{i}.attn"
-        attn = attend(heads(proj(x, p, "q")), heads(proj(x, p, "k")), heads(proj(x, p, "v")), p)
-        x = norm(x + attn, f"enc{i}.norm1")
-        x = norm(x + feed_forward(x, f"enc{i}.ff"), f"enc{i}.norm2")
-    cross = [(heads(proj(x, f"dec{i}.cross_attn", "k")), heads(proj(x, f"dec{i}.cross_attn", "v")))
-             for i in range(cfg.n_layers)]
+    def feed_forward(x, p):
+        return proj(ad.relu_rows(x, w[f"{p}.w1"], w[f"{p}.b1"]), p, 2)
 
-    cache_k = np.empty((cfg.n_layers, b, h, kappa, d_k))
-    cache_v = np.empty_like(cache_k)
-    tgt_pe = positional_encoding(kappa, d)
-    offsets = np.empty((b, kappa, cfg.out_dim))
-    y = np.repeat(w["start_token"], b, axis=0)
-    for step in range(kappa):
-        x = y @ w["tgt_embed.w"] + w["tgt_embed.b"] + tgt_pe[step]
+    def decoder(y, start):  # inputs (B, m, out_dim) at steps start .. start+m-1
+        end = start + y.shape[1]
+        x = ad.affine_rows(y, w["tgt_embed.w"], w["tgt_embed.b"]) + tgt_pe[start:end]
+        mask = causal_mask(end)[start:] if y.shape[1] > 1 else None
         for i in range(cfg.n_layers):
             p = f"dec{i}.self_attn"
-            cache_k[i, :, :, step] = proj(x, p, "k").reshape(b, h, d_k)
-            cache_v[i, :, :, step] = proj(x, p, "v").reshape(b, h, d_k)
-            attn = attend(heads(proj(x, p, "q")), cache_k[i, :, :, :step + 1],
-                          cache_v[i, :, :, :step + 1], p)
-            x = norm(x + attn, f"dec{i}.norm1")
-            p = f"dec{i}.cross_attn"
-            x = norm(x + attend(heads(proj(x, p, "q")), *cross[i], p), f"dec{i}.norm2")
-            x = norm(x + feed_forward(x, f"dec{i}.ff"), f"dec{i}.norm3")
-        y = x @ w["out_proj.w"] + w["out_proj.b"]
-        bad = ~np.isfinite(y).all(axis=1)
-        if bad.any():
-            raise DivergenceError(
-                f"non-finite offset at decode step {step} in window {first + int(np.argmax(bad))}"
-            )
-        offsets[:, step] = y
+            k, v = keys[i, :, :, :end], values[i, :, :, :end]
+            k[:, :, start:], v[:, :, start:] = heads(proj(x, p, "k")), heads(proj(x, p, "v"))
+            x = sublayer(x, attend(x, k, v, p, mask), f"dec{i}.norm1")
+            x = sublayer(x, attend(x, *cross[i], f"dec{i}.cross_attn"), f"dec{i}.norm2")
+            x = sublayer(x, feed_forward(x, f"dec{i}.ff"), f"dec{i}.norm3")
+        return ad.affine_rows(x, w["out_proj.w"], w["out_proj.b"])
+
+    chunk = decode_chunk_size(cfg, feats.shape[1], kappa)
+    for lo in range(0, len(feats), chunk):
+        x = (ad.affine_rows(feats[lo:lo + chunk], w["src_embed.w"], w["src_embed.b"])
+             + positional_encoding(feats.shape[1], cfg.d_model))
+        for i in range(cfg.n_layers):
+            p = f"enc{i}.attn"
+            x = sublayer(x, attend(x, heads(proj(x, p, "k")), heads(proj(x, p, "v")), p),
+                         f"enc{i}.norm1")
+            x = sublayer(x, feed_forward(x, f"enc{i}.ff"), f"enc{i}.norm2")
+        cross = [(heads(proj(x, f"dec{i}.cross_attn", "k")), heads(proj(x, f"dec{i}.cross_attn", "v")))
+                 for i in range(cfg.n_layers)]
+        keys, values = np.empty((2, cfg.n_layers, len(x), cfg.n_heads, kappa, cfg.d_k))
+        y = np.repeat(w["start_token"][None], len(x), axis=0)
+        if targets is not None:  # every step at once, fed the true previous offsets
+            offsets[lo:lo + chunk] = decoder(np.concatenate([y, targets[lo:lo + chunk, :-1]], 1), 0)
+            continue
+        for step in range(kappa):  # one step at a time, fed the emitted offsets
+            y = offsets[lo:lo + chunk, step:step + 1] = decoder(y, step)
+            bad = ~np.isfinite(y).all(axis=(1, 2))
+            if bad.any():
+                raise DivergenceError(f"non-finite offset at decode step {step} "
+                                      f"in window {lo + int(np.argmax(bad))}")
     return offsets
 
 

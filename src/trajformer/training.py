@@ -1,8 +1,10 @@
-"""Teacher-forced training with the Adam optimizer plus gradient checking.
+"""Teacher-forced training with the Adam optimizer.
 
-Training is a pure function of (data, config, seed): parameter init, the
-validation carve-out and every epoch's shuffle derive their RNG streams
-from the seed, so reruns and resumed runs reproduce loss curves exactly.
+Gradients come from the autodiff tape, the validation loss from the model's
+tape-free forward. Training is a pure function of (data, config, seed):
+parameter init, the validation carve-out and every epoch's shuffle derive
+their RNG streams from the seed, so reruns and resumed runs reproduce loss
+curves exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DivergenceError
-from .model import AdamState, ModelConfig, ModelParams, teacher_forced_offsets
+from .model import (AdamState, ModelConfig, ModelParams, teacher_forced_numpy,
+                    teacher_forced_offsets)
 
 _VAL_STREAM = 0x5EED
 
@@ -148,13 +151,8 @@ def _batch_gradients(params: ModelParams, features: np.ndarray, targets: np.ndar
 
 
 def _eval_mean_loss(params: ModelParams, features: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over windows of each window's mean L2, forward only, in chunks."""
-    chunk = train_chunk_size(params.config, features.shape[1], targets.shape[1])
-    losses = [_window_losses(teacher_forced_offsets(params, features[lo:lo + chunk],
-                                                    targets[lo:lo + chunk]).data,
-                             targets[lo:lo + chunk])
-              for lo in range(0, len(features), chunk)]
-    return float(np.mean(np.concatenate(losses)))
+    """Mean over windows of each window's mean L2, teacher-forced, off the tape."""
+    return float(np.mean(_window_losses(teacher_forced_numpy(params, features, targets), targets)))
 
 
 def _stack_windows(features, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +213,10 @@ def train(
                 params, features[batch], targets[batch], drop_rng,
                 f" at epoch {epoch}, batch {batch_no}")
             losses.extend(batch_losses.tolist())
-            # per-parameter dot products, summed: one vdot over the buffer rounds differently
-            norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in params.views(grad).values())))
+            # per-parameter sums of squares in numpy's own loop, summed: BLAS ddot's
+            # rounding depends on its thread count
+            norm = float(np.sqrt(sum(float(np.einsum("i,i->", g.ravel(), g.ravel()))
+                                     for g in params.views(grad).values())))
             norms.append(norm)
             if cfg.grad_clip is not None and norm > cfg.grad_clip:
                 clipped += 1
@@ -239,45 +239,3 @@ def train(
         if on_epoch is not None:
             on_epoch(epoch, params, state, row)
     return history, state
-
-
-def verify_gradients(
-    params: ModelParams,
-    features: list[np.ndarray] | np.ndarray,
-    targets: list[np.ndarray] | np.ndarray,
-    n_samples: int = 20,
-    h: float = 1e-6,
-    seed: int = 0,
-) -> dict:
-    """Central-difference check of sampled parameter coordinates of the
-    minibatch loss (mean over windows of each window's mean L2).
-
-    Relative error uses max(|analytic|, |numeric|, 1e-6) as denominator.
-    Returns the worst offender's coordinates alongside the full sample list.
-    """
-    features, targets = _stack_windows(features, targets)
-    analytic = params.views(_batch_gradients(params, features, targets)[0])
-
-    rng = np.random.default_rng(seed)
-    names = params.names()
-    samples = []
-    for _ in range(n_samples):
-        name = names[rng.integers(len(names))]
-        arr = params.tensors[name].data
-        flat = int(rng.integers(arr.size))
-        idx = np.unravel_index(flat, arr.shape)
-        keep = arr[idx]
-        try:
-            arr[idx] = keep + h
-            up = _eval_mean_loss(params, features, targets)
-            arr[idx] = keep - h
-            down = _eval_mean_loss(params, features, targets)
-        finally:
-            arr[idx] = keep
-        numeric = (up - down) / (2.0 * h)
-        a = float(analytic[name][idx])
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-        samples.append({"param": name, "index": tuple(int(i) for i in idx),
-                        "analytic": a, "numeric": numeric, "rel_err": rel})
-    worst = max(samples, key=lambda s: s["rel_err"])
-    return {"max_rel_err": worst["rel_err"], "worst": worst, "samples": samples}

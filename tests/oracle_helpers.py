@@ -8,9 +8,18 @@ layers on the autodiff tape one window at a time, and the window-feature
 reference calls the polar grid and semantic histogram kernels that
 ``brute_force_grid`` and ``brute_force_semantics`` pin down. The tracks
 loader reference shares only the package's CSV reader and float parser.
+
+The composed tape ops (``matmul``, ``transpose``, ``relu``, ``softmax``)
+are the references the package's fused nodes are checked against;
+``verify_gradients`` checks the tape against central differences; and the
+PNG writer and report reader build and read test files the package only
+reads or only writes.
 """
 
+import csv
 import json
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +27,125 @@ import numpy as np
 from trajformer import autodiff as ad
 from trajformer.data import AGENT_TYPES, AgentTrack, TrajectoryWindow, _parse_float, _read_csv
 from trajformer.errors import DataError, DivergenceError
+from trajformer.evaluation import _CSV_HEADER, MetricsRow, MetricsTable
 from trajformer.features import compute_offsets, feature_dim, polar_occupancy, semantic_histogram
 from trajformer.model import (ModelParams, decoder_forward, embed_source, embed_target,
                               encoder_forward, project_output, teacher_forced_offsets)
 from trajformer.pipeline import FeatureSet
-from trajformer.training import AdamState, l2_loss
+from trajformer.training import AdamState, _batch_gradients, _eval_mean_loss, _stack_windows, l2_loss
 
 AGENT_CHANNEL = {"pedestrian": 0, "vehicle": 1, "cyclist": 2}
 N_LABELS = 6
+
+
+# ------------------------------------------- composed tape ops
+
+def matmul(a, b):
+    """(..., n, d) @ (d, m): every row of ``a`` times the one matrix ``b``."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    return ad.Tensor(ad._rows_times(a.data, b.data), (a, b), "matmul",
+                     lambda g: ad._row_gemm_vjp(a.data, b.data, g))
+
+
+def transpose(a):
+    a = ad.as_tensor(a)
+    return ad.Tensor(a.data.T, (a,), "transpose", lambda g: (g.T,))
+
+
+def relu(a):
+    a = ad.as_tensor(a)
+    mask = a.data > 0
+    return ad.Tensor(a.data * mask, (a,), "relu", lambda g: (g * mask,))
+
+
+def softmax(a, axis=-1):
+    """Softmax along ``axis`` with max-subtraction for stability.
+
+    Entries of -inf are allowed (masked-out attention scores) and produce
+    exact zeros; a slice that is entirely -inf is the caller's error.
+    """
+    a = ad.as_tensor(a)
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise ValueError(f"softmax: axis {axis} invalid for shape {a.shape}")
+    m = np.max(a.data, axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+
+    return ad.Tensor(y, (a,), "softmax", vjp)
+
+
+def verify_gradients(params, features, targets, n_samples=20, h=1e-6, seed=0):
+    """Central-difference check of sampled parameter coordinates of the
+    minibatch loss (mean over windows of each window's mean L2).
+
+    Relative error uses max(|analytic|, |numeric|, 1e-6) as denominator.
+    Returns the worst offender's coordinates alongside the full sample list.
+    """
+    features, targets = _stack_windows(features, targets)
+    analytic = params.views(_batch_gradients(params, features, targets)[0])
+
+    rng = np.random.default_rng(seed)
+    names = params.names()
+    samples = []
+    for _ in range(n_samples):
+        name = names[rng.integers(len(names))]
+        arr = params.tensors[name].data
+        flat = int(rng.integers(arr.size))
+        idx = np.unravel_index(flat, arr.shape)
+        keep = arr[idx]
+        try:
+            arr[idx] = keep + h
+            up = _eval_mean_loss(params, features, targets)
+            arr[idx] = keep - h
+            down = _eval_mean_loss(params, features, targets)
+        finally:
+            arr[idx] = keep
+        numeric = (up - down) / (2.0 * h)
+        a = float(analytic[name][idx])
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
+        samples.append({"param": name, "index": tuple(int(i) for i in idx),
+                        "analytic": a, "numeric": numeric, "rel_err": rel})
+    worst = max(samples, key=lambda s: s["rel_err"])
+    return {"max_rel_err": worst["rel_err"], "worst": worst, "samples": samples}
+
+
+# ------------------------------------------- test file writers and readers
+
+def _png_chunk(kind, payload):
+    return (struct.pack(">I", len(payload)) + kind + payload
+            + struct.pack(">I", zlib.crc32(kind + payload) & 0xFFFFFFFF))
+
+
+def write_png_gray(path, pixels):
+    """An 8-bit grayscale PNG, unfiltered rows in one IDAT chunk."""
+    pixels = np.asarray(pixels, dtype=np.uint8)
+    h, w = pixels.shape
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
+    raw = b"".join(b"\x00" + pixels[r].tobytes() for r in range(h))
+    with open(path, "wb") as f:
+        f.write(b"\x89PNG\r\n\x1a\n")
+        f.write(_png_chunk(b"IHDR", ihdr))
+        f.write(_png_chunk(b"IDAT", zlib.compress(raw, 6)))
+        f.write(_png_chunk(b"IEND", b""))
+
+
+def load_report(path):
+    """The metrics table back from a ``report.csv``."""
+    table = MetricsTable()
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames != _CSV_HEADER:
+            raise DataError(f"{path}: unexpected report header {reader.fieldnames}")
+        for rec in reader:
+            table.rows.append(MetricsRow(rec["dataset"], rec["method"], float(rec["horizon_s"]),
+                                         float(rec["ade_m"]), float(rec["rmse_m"]),
+                                         int(rec["n_windows"])))
+    return table
 
 
 def brute_force_grid(ego, neighbors, cfg):

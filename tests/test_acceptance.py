@@ -9,7 +9,7 @@ ability to produce the 2-datasets x methods x 5-horizons report layout.
 import time
 
 import numpy as np
-from oracle_helpers import brute_force_grid, brute_force_semantics, textbook_kalman
+from oracle_helpers import brute_force_grid, brute_force_semantics, textbook_kalman, verify_gradients
 
 from trajformer.cli import main as cli_main
 from trajformer.data import WindowConfig
@@ -21,7 +21,7 @@ from trajformer.model import (ModelConfig, ModelParams, positional_encoding,
                               predict_autoregressive, teacher_forced_offsets)
 from trajformer.pipeline import build_feature_set, decode_predictor
 from trajformer.synth import generate_scenes
-from trajformer.training import TrainConfig, train, verify_gradients
+from trajformer.training import TrainConfig, train
 
 
 def report(name: str, detail: str):

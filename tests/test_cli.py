@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import os
 import shutil
 import subprocess
 import sys
@@ -9,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle_helpers import load_report
 
+import trajformer
 from trajformer import cli
 from trajformer.cli import main
 from trajformer.config import build_run_config
-from trajformer.evaluation import load_report
 from trajformer.model import load_checkpoint, save_checkpoint
 from trajformer.serialize import load_bundle, save_bundle
 
@@ -271,6 +273,30 @@ def test_evaluate_report_deterministic(tmp_path, dataset):
     first = (out / "report.csv").read_bytes()
     assert run("evaluate", *args) == 0
     assert (out / "report.csv").read_bytes() == first
+
+
+def test_clip_norm_keeps_outputs_independent_of_blas_threads(tmp_path, dataset):
+    # at d_model 128 every weight block is long enough for OpenBLAS to thread a
+    # dot product over it, and with a small grad_clip every step is clipped, so
+    # the clip norm's rounding reaches the weights. Weight-gradient GEMMs over a
+    # few hundred rows or more can still differ; this run stays below that.
+    shape = ["model.d_model=128", "model.d_ff=512", "train.epochs=1", "train.grad_clip=0.01"]
+    src = str(Path(trajformer.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for argv in (["preprocess", *desk_args(dataset, out, shape)],
+                     ["train", *desk_args(dataset, out, shape)],
+                     ["predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(dataset),
+                      "--out", str(out / "pred")]):
+            subprocess.run([sys.executable, "-m", "trajformer", *argv], env=env, check=True,
+                           capture_output=True)
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("cache/train_features.bin", "model.ckpt",
+                                     "pred/predictions.csv")})
+    assert digests[0] == digests[1]
 
 
 def test_predict_dump_and_svg(tmp_path, dataset):
@@ -600,7 +626,8 @@ def test_train_guards_write_nothing(tmp_path, dataset, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["bad_methods", "no_test_root", "absent_test_root",
-                                  "missing_flag", "context_mismatch", "no_methods"])
+                                  "missing_flag", "context_mismatch", "no_methods",
+                                  "long_horizon"])
 def test_evaluate_guards_exit_1_and_write_nothing(tmp_path, dataset, capsys, case):
     out = train_pipeline(tmp_path, dataset)
     ckpt = str(out / "model.ckpt")
@@ -614,6 +641,7 @@ def test_evaluate_guards_exit_1_and_write_nothing(tmp_path, dataset, capsys, cas
         "context_mismatch": (["--methods", "vanilla_tf", "--vanilla-checkpoint", ckpt],
                              "--vanilla-checkpoint"),
         "no_methods": (["--methods", ","], "--methods ','"),
+        "long_horizon": (["--set", "eval.horizons=9", "--checkpoint", ckpt], "eval.horizons"),
     }[case]
     if case not in ("no_test_root", "absent_test_root"):
         argv += ["--test-root", str(dataset), "--allow-same-dataset"]

@@ -93,6 +93,9 @@ def test_seed_and_feature_dim_are_derived():
     ("semantic.d_max_px", "inf", "finite"),
     ("eval.horizons", "nan", "finite"),
     ("eval.horizons", "1,inf", "finite"),
+    # horizons the windows cannot score: 90 and 0 steps at 10 Hz with kappa 20
+    ("eval.horizons", "1,9", "90 steps"),
+    ("eval.horizons", "0.01", "0 steps"),
     ("eval.kalman_measurement_noise", "nan", "finite"),
     ("eval.kalman_measurement_noise", "0", "> 0"),
     ("eval.kalman_process_noise", "-1", ">= 0"),

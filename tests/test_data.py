@@ -5,11 +5,12 @@ import zlib
 
 import numpy as np
 import pytest
+from oracle_helpers import write_png_gray
 
 from trajformer.data import (AgentTrack, WindowConfig, extract_windows, load_dataset_root,
                              load_scene_dir, load_tracks, resample, write_tracks)
 from trajformer.errors import DataError
-from trajformer.maps import load_scene_map, read_png_gray, write_pgm, write_png_gray
+from trajformer.maps import load_scene_map, read_png_gray, write_pgm
 
 CANON_HEADER = "scene_id,agent_id,agent_type,t,x_m,y_m,x_px,y_px\n"
 
@@ -147,6 +148,15 @@ def test_canonical_roundtrip(tmp_path):
     assert np.array_equal(tracks[0].t, tracks2[0].t)
     assert np.array_equal(tracks[0].xy_m, tracks2[0].xy_m)
     assert np.array_equal(tracks[0].xy_px, tracks2[0].xy_px)
+
+
+@pytest.mark.parametrize("field", ["xy_m", "xy_px"])
+@pytest.mark.parametrize("shape", [(1, 2), (3, 3), (6,)])
+def test_track_positions_must_be_one_row_per_time(field, shape):
+    arrays = {"xy_m": np.ones((3, 2)), "xy_px": np.ones((3, 2))}
+    arrays[field] = np.ones(shape)
+    with pytest.raises(DataError, match=f"agent a: 3 times vs {field}"):
+        AgentTrack("a", "pedestrian", np.arange(3) * 0.1, **arrays)
 
 
 def test_write_tracks_failure_keeps_previous_file(tmp_path):

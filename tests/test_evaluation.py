@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from oracle_helpers import textbook_kalman
+from oracle_helpers import load_report, textbook_kalman
 
 from trajformer.errors import ConfigError, DataError
 from trajformer.evaluation import (MetricsRow, MetricsTable, ade, cv_kalman_gains,
-                                   cv_kalman_predict, emit_report, evaluate, load_report,
+                                   cv_kalman_predict, emit_report, evaluate,
                                    render_markdown, rmse)
 
 

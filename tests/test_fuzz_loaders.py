@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracle_helpers import write_png_gray
 
 from trajformer.config import parse_kv_file
 from trajformer.data import load_tracks, parse_scene_meta
 from trajformer.errors import ConfigError, DataError
-from trajformer.maps import read_pgm, read_png_gray, write_pgm, write_png_gray
+from trajformer.maps import read_pgm, read_png_gray, write_pgm
 from trajformer.serialize import load_bundle, save_bundle
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,

@@ -12,7 +12,7 @@ from trajformer.model import (AdamState, Checkpoint, ModelConfig, ModelParams, c
                               decoder_forward, embed_source, embed_target, encoder_forward,
                               load_checkpoint, multi_head_attention, positional_encoding,
                               predict_autoregressive, project_output, save_checkpoint,
-                              teacher_forced_offsets)
+                              teacher_forced_numpy, teacher_forced_offsets)
 from trajformer.features import FeatureStats
 from trajformer.serialize import load_bundle, save_bundle
 
@@ -336,6 +336,27 @@ def test_decode_divergence_names_step_and_window(monkeypatch):
     params.tensors["out_proj.b"].data[0] = 10.0
     with pytest.raises(DivergenceError, match=r"decode step 1 in window 0\b"):
         predict_autoregressive(params, features, anchors, 4)
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("kappa", [1, 12])
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_teacher_forced_numpy_is_bit_equal_to_tape(monkeypatch, n_heads, n_layers, kappa, batch):
+    params = random_params(n_heads, n_layers, seed=50 + 2 * n_heads + n_layers)
+    rng = np.random.default_rng(kappa + batch)
+    features, targets = rng.normal(size=(batch, 7, 5)), rng.normal(size=(batch, kappa, 2))
+    tape = teacher_forced_offsets(params, features, targets).data
+    assert np.array_equal(teacher_forced_numpy(params, features, targets), tape)
+    # split into chunks of 2, 2, 1 windows; a GEMM's rounding may depend on its
+    # row count, so the tape runs on the same chunks
+    per_window = 8 * 8 * (2 * n_layers * (7 + kappa) + 7)
+    monkeypatch.setattr(model, "DECODE_BUDGET_BYTES", 2 * per_window)
+    assert model.decode_chunk_size(params.config, 7, kappa) == 2
+    tape = np.concatenate([teacher_forced_offsets(params, features[lo:lo + 2],
+                                                  targets[lo:lo + 2]).data
+                           for lo in range(0, batch, 2)])
+    assert np.array_equal(teacher_forced_numpy(params, features, targets), tape)
 
 
 def test_decode_feature_dim_mismatch():

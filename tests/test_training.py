@@ -2,14 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle_helpers import reference_adam_step, reference_train
+from oracle_helpers import reference_adam_step, reference_train, verify_gradients
 
 from trajformer import autodiff as ad
 from trajformer import training
 from trajformer.autodiff import Tensor, backward
 from trajformer.errors import DivergenceError
 from trajformer.model import ModelConfig, ModelParams, teacher_forced_offsets
-from trajformer.training import AdamState, TrainConfig, adam_step, l2_loss, train, verify_gradients
+from trajformer.training import AdamState, TrainConfig, adam_step, l2_loss, train
 
 TINY = ModelConfig(feature_dim=2, d_model=16, n_heads=2, n_layers=1, d_ff=32)
 
@@ -335,6 +335,21 @@ def test_batch_gradient_in_flat_layout_is_bit_equal_to_backward_dict():
     want = backward(l2_loss(teacher_forced_offsets(params, features, targets), targets))
     for name, view in params.views(grad).items():
         assert np.array_equal(view, want[params[name]]), name
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_validation_loss_is_bit_equal_to_tape_and_builds_none(monkeypatch, shape):
+    features, targets = random_windows(7, *SHAPES[shape], seed=43)
+    params = ModelParams(DESK, seed=44)
+    pred = teacher_forced_offsets(params, features, targets).data
+    want = float(np.mean(training._window_losses(pred, targets)))
+
+    def no_tape(*args, **kwargs):
+        raise AssertionError("validation built a tape")
+
+    monkeypatch.setattr(training, "teacher_forced_offsets", no_tape)
+    monkeypatch.setattr(training.ad, "Tensor", no_tape)
+    assert training._eval_mean_loss(params, features, targets) == want
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
