@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 divergence. Every command validates its configuration, checkpoints and
 input roots before touching the filesystem; all outputs land under the
 configured output directory, which is guarded by a lock file against
-concurrent runs.
+concurrent runs. Caches and checkpoints record the content digest of their
+root; ``evaluate`` checks the held-out protocol and reuses a test cache by it.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_run_config
-from .data import ADAPTERS, WindowConfig, write_tracks
+from .data import ADAPTERS, WindowConfig, root_digest, write_tracks
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import cv_kalman_predict, emit_report, evaluate
 from .features import FeatureStats, PolarGridConfig, SemanticConfig
 from .model import Checkpoint, ModelParams, load_checkpoint, save_checkpoint
-from .pipeline import (decode_predictor, load_feature_cache, load_root, save_feature_cache,
-                       settings_record)
+from .pipeline import (FeatureSet, decode_predictor, load_feature_cache, load_root,
+                       save_feature_cache, settings_record)
 from .plots import render_window_svg
 from .serialize import atomic_open
 from .synth import SCENARIOS, synth_dataset
@@ -77,8 +78,8 @@ TRAIN_LOG_HEADER = ["epoch", "train_loss", "val_loss", "wall_seconds",
                     "grad_norm", "clipped_batches", "windows_per_s"]
 
 
-def _checkpoint_meta(cfg: RunConfig, train_dataset: str, epochs_done: int) -> dict:
-    return {"train_dataset": train_dataset, "epochs_done": epochs_done,
+def _checkpoint_meta(cfg: RunConfig, train_dataset: str, epochs_done: int, source) -> dict:
+    return {"train_dataset": train_dataset, "epochs_done": epochs_done, "source": source,
             "context": cfg.context, **settings_record(cfg.window, cfg.grid, cfg.semantic)}
 
 
@@ -114,7 +115,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _write_root(cfg: RunConfig, tag: str, root: str, scenes, fset) -> None:
+def _write_root(cfg: RunConfig, tag: str, root: str, scenes, fset, source: dict) -> None:
     counts = Counter(scene_id for scene_id, _, _ in fset.keys)
     for scene in scenes:
         scene_id = scene.scene_map.scene_id
@@ -125,7 +126,7 @@ def _write_root(cfg: RunConfig, tag: str, root: str, scenes, fset) -> None:
     cache_dir = cfg.out_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
     save_feature_cache(cache_dir / f"{tag}_features.bin", fset, cfg.window, cfg.grid,
-                       cfg.semantic)
+                       cfg.semantic, source)
     if len(fset) == 0:
         print(f"warning: no windows extracted from {root}", file=sys.stderr)
 
@@ -135,11 +136,11 @@ def cmd_preprocess(args) -> int:
     if not cfg.train_root:
         raise ConfigError("data.train_root is required for preprocess")
     loaded = {tag: (root, *load_root(root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic,
-                                     cfg.context))
+                                     cfg.context), root_digest(root, cfg.adapter))
               for tag, root in (("train", cfg.train_root), ("test", cfg.test_root)) if root}
     with _OutputLock(cfg.out_dir):
-        for tag, (root, scenes, fset) in loaded.items():
-            _write_root(cfg, tag, root, scenes, fset)
+        for tag, (root, scenes, fset, source) in loaded.items():
+            _write_root(cfg, tag, root, scenes, fset, source)
     return 0
 
 
@@ -150,6 +151,9 @@ def cmd_train(args) -> int:
         raise DataError(f"feature cache {cache_path} not found; run preprocess first")
     fset, cache_meta = load_feature_cache(cache_path)
     _require_settings(cache_meta, cfg, cache_path)
+    source = cache_meta.get("source")
+    if cfg.train_root and source != root_digest(cfg.train_root, cfg.adapter):
+        raise DataError(f"{cache_path} was not built from data.train_root {cfg.train_root}")
     if len(fset) == 0:
         raise DataError(f"feature cache {cache_path} holds no windows")
 
@@ -159,6 +163,8 @@ def cmd_train(args) -> int:
         _require_settings(ckpt.meta, cfg, args.resume)
         if ckpt.params.config != cfg.model:
             raise ConfigError(f"{args.resume}: checkpoint model config does not match run config")
+        if ckpt.meta.get("source") != source:
+            raise DataError(f"{args.resume}: trained on other data than {cache_path}")
         params, stats, state = ckpt.params, ckpt.stats, ckpt.adam_moments
         start_epoch = ckpt.meta.get("epochs_done")
         if type(start_epoch) is not int or start_epoch < 0:
@@ -203,16 +209,35 @@ def cmd_train(args) -> int:
             with atomic_open(log_path, "w", newline="", encoding="utf-8") as f:
                 csv.writer(f).writerows(log_rows)
             if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-                meta = _checkpoint_meta(cfg, train_dataset, epoch + 1)
+                meta = _checkpoint_meta(cfg, train_dataset, epoch + 1, source)
                 save_checkpoint(ckpt_path, epoch_params, stats, meta, epoch_state)
 
         history, state = train(params, standardized, targets, run_cfg,
                                state=state, start_epoch=start_epoch, on_epoch=on_epoch)
-        meta = _checkpoint_meta(cfg, train_dataset, start_epoch + remaining)
+        meta = _checkpoint_meta(cfg, train_dataset, start_epoch + remaining, source)
         save_checkpoint(ckpt_path, params, stats, meta, state)
         print(f"trained {remaining} epoch(s); final train loss "
               f"{history[-1]['train_loss']:.6f}; checkpoint {ckpt_path}")
     return 0
+
+
+def _test_features(cfg: RunConfig, test_root, source: dict) -> FeatureSet:
+    """The test root's FeatureSet, read from the output directory's test cache if
+    that records this root, the run's settings and context features, else built."""
+    cache_path = cfg.out_dir / "cache" / "test_features.bin"
+    expected = {"source": source, "context": True,
+                **settings_record(cfg.window, cfg.grid, cfg.semantic)}
+    try:
+        fset, meta = load_feature_cache(cache_path)
+        differing = ", ".join(name for name, value in expected.items() if meta.get(name) != value)
+        reason = differing and f"cache records other {differing}"
+    except DataError as exc:
+        reason = str(exc) if cache_path.exists() else "no cache"
+    if not reason:
+        print(f"test features: {cache_path}")
+        return fset
+    print(f"test features: built from {test_root} ({reason})")
+    return load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)[1]
 
 
 def cmd_evaluate(args) -> int:
@@ -229,7 +254,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("a test dataset is required (--test-root or data.test_root)")
     if not Path(test_root).is_dir():
         raise ConfigError(f"test dataset root {test_root!r} does not exist")
-    dataset = Path(test_root).name
+    dataset = Path(test_root).name  # labels the report only
+    test_source = root_digest(test_root, cfg.adapter)
 
     checkpoints = {}  # method -> (checkpoint, context); decoded once the test set is built
     for method, flag, path, context in (
@@ -244,13 +270,19 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"{flag} was trained {'without' if context else 'with'} "
                               "context features")
         _require_settings(ckpt.meta, cfg, path)
-        if ckpt.meta.get("train_dataset") == dataset and not args.allow_same_dataset:
-            raise ConfigError(f"{flag} was trained on {dataset!r}; evaluating on the same "
+        try:
+            trained_on = set(ckpt.meta["source"]["scenes"].values())
+        except (KeyError, TypeError, AttributeError):
+            raise DataError(f"{path}: checkpoint records no training source") from None
+        shared = [sid for sid, digest in test_source["scenes"].items() if digest in trained_on]
+        if shared and not args.allow_same_dataset:
+            raise ConfigError(f"{flag} was trained on {ckpt.meta.get('train_dataset')!r}, "
+                              f"which holds test scene {shared[0]!r}; evaluating on the same "
                               "dataset requires --allow-same-dataset")
         checkpoints[method] = (ckpt, context)
     if not methods:
         raise ConfigError(f"no methods requested (--methods {args.methods!r})")
-    _, fset = load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)
+    fset = _test_features(cfg, test_root, test_source)
     if len(fset) == 0:
         raise DataError(f"no windows in {test_root}")
 

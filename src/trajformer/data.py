@@ -12,6 +12,7 @@ A window is a start index into its pedestrian track (``extract_windows``).
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -340,13 +341,24 @@ def parse_scene_meta(path) -> dict:
     return meta
 
 
-def load_scene_dir(scene_dir, adapter: str = "canonical") -> Scene:
-    """Load one scene directory: scene.meta + label map + tracks file."""
+def scene_files(scene_dir) -> tuple[dict, tuple[Path, Path, Path]]:
+    """A scene directory's parsed ``scene.meta`` and the files the scene is
+    read from: ``scene.meta``, the label map and the tracks file."""
     scene_dir = Path(scene_dir)
     meta = parse_scene_meta(scene_dir / "scene.meta")
+    return meta, (scene_dir / "scene.meta", scene_dir / meta["label_map"],
+                  scene_dir / meta.get("tracks", "tracks.csv"))
+
+
+def load_scene_dir(scene_dir, adapter: str = "canonical") -> Scene:
+    """Load one scene directory: scene.meta + label map + tracks file."""
+    return _load_scene(*scene_files(scene_dir), adapter)
+
+
+def _load_scene(meta: dict, files: tuple[Path, Path, Path], adapter: str) -> Scene:
+    _, map_path, tracks_path = files
     mpp = float(meta["meters_per_pixel"])  # validated by parse_scene_meta
-    scene_map = load_scene_map(scene_dir / meta["label_map"], mpp, scene_id=meta["scene_id"])
-    tracks_path = scene_dir / meta.get("tracks", "tracks.csv")
+    scene_map = load_scene_map(map_path, mpp, scene_id=meta["scene_id"])
     tracks, file_scene_id = load_tracks(tracks_path, adapter, mpp)
     if ADAPTERS[adapter].scene is not None and file_scene_id and file_scene_id != meta["scene_id"]:
         raise DataError(
@@ -357,18 +369,39 @@ def load_scene_dir(scene_dir, adapter: str = "canonical") -> Scene:
     return Scene(scene_map=scene_map, tracks=tracks, meta=meta)
 
 
-def load_dataset_root(root, adapter: str = "canonical") -> list[Scene]:
-    """Load every scene subdirectory (sorted by name) under a dataset root."""
+def _root_scenes(root) -> list[tuple[dict, tuple[Path, Path, Path]]]:
+    """``scene_files`` of every scene subdirectory of a dataset root, sorted
+    by name; two directories with one scene id are a DataError naming both."""
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root {root} does not exist")
     scenes, dirs = [], {}
     for child in sorted(root.iterdir()):
         if child.is_dir() and (child / "scene.meta").exists():
-            scene = load_scene_dir(child, adapter)
-            scene_id = scene.scene_map.scene_id
-            if scene_id in dirs:
+            meta, files = scene_files(child)
+            if (scene_id := meta["scene_id"]) in dirs:
                 raise DataError(f"{dirs[scene_id]} and {child} both hold scene {scene_id!r}")
             dirs[scene_id] = child
-            scenes.append(scene)
+            scenes.append((meta, files))
     return scenes
+
+
+def load_dataset_root(root, adapter: str = "canonical") -> list[Scene]:
+    """Load every scene subdirectory (sorted by name) under a dataset root."""
+    return [_load_scene(meta, files, adapter) for meta, files in _root_scenes(root)]
+
+
+def root_digest(root, adapter: str) -> dict:
+    """A root's content as caches and checkpoints record it: the adapter and, by
+    scene id, a sha256 over the length and bytes of each of ``scene_files``."""
+    scenes = {}
+    for meta, files in _root_scenes(root):
+        digest = hashlib.sha256()
+        for path in files:
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                raise DataError(f"{path}: cannot read ({exc})") from None
+            digest.update(len(data).to_bytes(8, "little") + data)
+        scenes[meta["scene_id"]] = digest.hexdigest()
+    return {"adapter": adapter, "scenes": scenes}

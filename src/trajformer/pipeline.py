@@ -6,9 +6,10 @@ tracks in a scene are resampled onto the shared global grid (multiples of
 built once per (agent, timestep) over each track's observed span; one
 index array of its windows' steps gathers their blocks and positions.
 Feature blocks are cached in the binary bundle format keyed by (scene_id,
-ego_id, window start); reruns over unchanged inputs produce byte-identical
-caches. ``decode_predictor`` turns a feature set into the (N, kappa, 2)
-position array that evaluation scores and ``predict`` writes.
+ego_id, window start), with their settings and their root's ``root_digest``;
+reruns over unchanged inputs produce byte-identical caches.
+``decode_predictor`` turns a feature set into the (N, kappa, 2) position
+array that evaluation scores and ``predict`` writes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .features import FeatureStats, PolarGridConfig, SemanticConfig, build_featu
 from .model import ModelParams, predict_autoregressive
 from .serialize import load_bundle, save_bundle
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 # the FeatureSet arrays a feature cache stores, under the same names
 CACHE_ARRAYS = ("features", "target_offsets", "last_obs_m", "obs_m", "fut_m")
 
@@ -121,12 +122,14 @@ def settings_record(wcfg: WindowConfig, pg: PolarGridConfig, sc: SemanticConfig)
 
 
 def save_feature_cache(path, fset: FeatureSet, wcfg: WindowConfig, pg: PolarGridConfig,
-                       sc: SemanticConfig) -> None:
+                       sc: SemanticConfig, source: dict | None = None) -> None:
+    """Write ``fset``, its settings and ``source``, the ``root_digest`` of its root."""
     meta = {
         "kind": "feature_cache",
         "cache_version": CACHE_VERSION,
         "context": fset.context,
         "keys": [[sid, eid, start] for sid, eid, start in fset.keys],
+        "source": source,
         **settings_record(wcfg, pg, sc),
     }
     save_bundle(path, {name: getattr(fset, name) for name in CACHE_ARRAYS}, meta)
@@ -136,6 +139,8 @@ def load_feature_cache(path) -> tuple[FeatureSet, dict]:
     arrays, meta = load_bundle(path)
     if meta.get("kind") != "feature_cache":
         raise DataError(f"{path}: not a feature cache")
+    if (version := meta.get("cache_version")) != CACHE_VERSION:
+        raise DataError(f"{path}: feature cache version {version!r}, expected {CACHE_VERSION}")
     missing = ([n for n in CACHE_ARRAYS if n not in arrays]
                + [n for n in ("keys", "context") if n not in meta])
     if missing:

@@ -16,6 +16,7 @@ import trajformer
 from trajformer import cli
 from trajformer.cli import main
 from trajformer.config import build_run_config
+from trajformer.data import root_digest
 from trajformer.model import load_checkpoint, save_checkpoint
 from trajformer.serialize import load_bundle, save_bundle
 
@@ -360,16 +361,22 @@ def test_predict_missing_scene_map_errors(tmp_path, dataset):
     assert not (tmp_path / "pred").exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "preprocess"])
+@pytest.mark.parametrize("command", ["evaluate", "evaluate-cached", "preprocess"])
 def test_root_without_scene_map_exits_2_and_writes_nothing(tmp_path, dataset, capsys, command):
     out = train_pipeline(tmp_path, dataset)
     broken = tmp_path / "broken"
     assert run("synth", "--out", str(broken), "--scenario", "linear", "--n", "2",
                "--scenes", "1", "--seed", "3") == 0
-    if command == "evaluate":
+    if command.startswith("evaluate"):
         target = tmp_path / "scored"
         argv = ["evaluate", *desk_args(dataset, target), "--test-root", str(broken),
                 "--checkpoint", str(out / "model.ckpt")]
+        if command == "evaluate-cached":  # a test cache that matched the root before
+            assert run("preprocess", *desk_args(dataset, target,
+                                                [f"data.test_root={broken}"])) == 0
+            assert run(*argv) == 0
+            assert f"test features: {target / 'cache' / 'test_features.bin'}" in \
+                capsys.readouterr().out
     else:  # an output directory that already holds both roots' caches
         target = out
         argv = ["preprocess", *desk_args(dataset, out, [f"data.test_root={broken}"])]
@@ -499,6 +506,166 @@ def test_failed_log_write_keeps_previous_log(tmp_path, dataset, monkeypatch):
         run("train", *desk_args(dataset, out, ["train.epochs=3"]))
     assert log.read_bytes() == before
     assert not (out / "train_log.csv.tmp").exists()
+
+
+# ------------------------------------- held-out protocol and the test cache
+
+def test_checkpoint_records_its_training_source(tmp_path, dataset):
+    out = train_pipeline(tmp_path, dataset)
+    source = root_digest(dataset, "canonical")
+    assert load_bundle(out / "cache" / "train_features.bin")[1]["source"] == source
+    assert load_checkpoint(out / "model.ckpt").meta["source"] == source
+
+
+def test_train_refuses_a_cache_of_another_root(tmp_path, dataset, capsys):
+    other = tmp_path / "other"
+    assert run("synth", "--out", str(other), "--scenario", "linear", "--n", "2",
+               "--scenes", "1", "--seed", "3") == 0
+    out = tmp_path / "out"  # a cache of other, trained as if it held dataset
+    assert run("preprocess", *desk_args(other, out)) == 0
+    before = snapshot(out)
+    capsys.readouterr()
+    assert run("train", *desk_args(dataset, out)) == 2
+    err = capsys.readouterr().err
+    assert str(out / "cache" / "train_features.bin") in err and str(dataset) in err
+    assert snapshot(out) == before
+    cache = out / "cache" / "train_features.bin"  # a cache that records no source
+    arrays, meta = load_bundle(cache)
+    save_bundle(cache, arrays, {k: v for k, v in meta.items() if k != "source"})
+    assert run("train", *desk_args(other, out)) == 2
+    assert not (out / "model.ckpt").exists()
+
+
+def test_evaluate_refuses_a_renamed_copy_of_the_training_root(tmp_path, dataset, capsys):
+    out = train_pipeline(tmp_path, dataset)
+    copy = tmp_path / "ds_copy"
+    shutil.copytree(dataset, copy)
+    target = tmp_path / "scored"
+    args = [*desk_args(dataset, target), "--test-root", str(copy),
+            "--checkpoint", str(out / "model.ckpt"), "--methods", "context_tf"]
+    capsys.readouterr()
+    assert run("evaluate", *args) == 1
+    assert ("--checkpoint was trained on 'ds', which holds test scene 'linear_s1_00'"
+            in capsys.readouterr().err)
+    assert not target.exists()
+    assert run("evaluate", *args, "--allow-same-dataset") == 0
+
+
+def test_resume_refuses_a_checkpoint_trained_on_other_data(tmp_path, dataset, capsys):
+    out = train_pipeline(tmp_path, dataset)
+    other = tmp_path / "other"
+    assert run("synth", "--out", str(other), "--scenario", "linear", "--n", "2",
+               "--scenes", "1", "--seed", "3") == 0
+    resumed = tmp_path / "resumed"
+    assert run("preprocess", *desk_args(other, resumed)) == 0
+    before = snapshot(resumed)
+    capsys.readouterr()
+    assert run("train", *desk_args(other, resumed, ["train.epochs=3"]),
+               "--resume", str(out / "model.ckpt")) == 2
+    assert str(out / "model.ckpt") in capsys.readouterr().err
+    assert snapshot(resumed) == before
+
+
+@pytest.mark.parametrize("source", [None, "ds", {"scenes": ["a"]}],
+                         ids=["missing", "string", "scene_list"])
+def test_evaluate_checkpoint_without_training_source_exits_2(tmp_path, dataset, capsys, source):
+    out = train_pipeline(tmp_path, dataset)
+    arrays, meta = load_bundle(out / "model.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    save_bundle(bad, arrays, {**meta, "source": source} if source else
+                {k: v for k, v in meta.items() if k != "source"})
+    target = tmp_path / "scored"
+    capsys.readouterr()
+    assert run("evaluate", *desk_args(dataset, target), "--test-root", str(dataset),
+               "--checkpoint", str(bad), "--allow-same-dataset") == 2
+    assert f"{bad}: checkpoint records no training source" in capsys.readouterr().err
+    assert not target.exists()
+
+
+@pytest.fixture()
+def held_out(tmp_path, dataset):
+    """A model trained on ``dataset`` and a held-out root, preprocessed into its output dir."""
+    out = train_pipeline(tmp_path, dataset)
+    held = tmp_path / "held"
+    assert run("synth", "--out", str(held), "--scenario", "linear", "--n", "2",
+               "--scenes", "1", "--seed", "2") == 0
+    assert run("preprocess", *desk_args(dataset, out, [f"data.test_root={held}"])) == 0
+    return out, held
+
+
+def evaluate_held_out(dataset, out, held):
+    assert run("evaluate", *desk_args(dataset, out), "--test-root", str(held),
+               "--checkpoint", str(out / "model.ckpt"),
+               "--methods", "context_tf,cv_kalman") == 0
+    return {name: (out / name).read_bytes() for name in ("report.csv", "report.md")}
+
+
+def test_evaluate_reads_the_matching_test_cache(held_out, dataset, capsys, monkeypatch):
+    out, held = held_out
+    cache = out / "cache" / "test_features.bin"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "load_root", lambda *a, **k: pytest.fail("test root was loaded"))
+        capsys.readouterr()
+        cached = evaluate_held_out(dataset, out, held)
+    assert f"test features: {cache}\n" in capsys.readouterr().out
+    cache.unlink()
+    assert evaluate_held_out(dataset, out, held) == cached
+    assert f"test features: built from {held} (no cache)" in capsys.readouterr().out
+
+
+def edit_one_byte(path):
+    """Change the 7th decimal of the 5th row's x_m, under the 1e-6 m pixel tolerance."""
+    lines = path.read_text().split("\n")
+    row = lines[5].split(",")
+    digit = row[4].index(".") + 7
+    row[4] = row[4][:digit] + str((int(row[4][digit]) + 1) % 10) + row[4][digit + 1:]
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines))
+
+
+BUILD_REASONS = {"tracks_byte": "(cache records other source)",
+                 "semantic": "(cache records other semantic)",
+                 "no_context": "(cache records other context)",
+                 "old_version": "test_features.bin: feature cache version 1, expected 2)",
+                 "no_cache": "(no cache)"}
+
+
+@pytest.mark.parametrize("change", list(BUILD_REASONS))
+def test_evaluate_builds_from_the_root_unless_the_cache_matches(held_out, dataset, capsys,
+                                                                  change):
+    out, held = held_out
+    cache = out / "cache" / "test_features.bin"
+    before = evaluate_held_out(dataset, out, held)
+    if change == "tracks_byte":
+        edit_one_byte(held / "linear_s2_00" / "tracks.csv")
+    elif change in ("semantic", "no_context"):
+        other = "semantic.k=2" if change == "semantic" else "context.enabled=false"
+        assert run("preprocess",
+                   *desk_args(dataset, out, [f"data.test_root={held}", other])) == 0
+    elif change == "old_version":
+        arrays, meta = load_bundle(cache)
+        save_bundle(cache, arrays, {**meta, "cache_version": 1})
+    else:
+        cache.unlink()
+    capsys.readouterr()
+    after = evaluate_held_out(dataset, out, held)
+    printed = capsys.readouterr().out
+    assert f"test features: built from {held} (" in printed and BUILD_REASONS[change] in printed
+    assert (after != before) == (change == "tracks_byte")
+    cache.unlink(missing_ok=True)  # the report of a build from the root as it now is
+    assert evaluate_held_out(dataset, out, held) == after
+
+
+def test_train_refuses_a_cache_of_another_version(tmp_path, dataset, capsys):
+    out = tmp_path / "out"
+    assert run("preprocess", *desk_args(dataset, out)) == 0
+    cache = out / "cache" / "train_features.bin"
+    arrays, meta = load_bundle(cache)
+    save_bundle(cache, arrays, {**meta, "cache_version": 1})
+    capsys.readouterr()
+    assert run("train", *desk_args(dataset, out)) == 2
+    assert f"{cache}: feature cache version 1, expected 2" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
 
 
 # ------------------------------------------- settings of caches and checkpoints

@@ -8,7 +8,8 @@ import pytest
 from oracle_helpers import write_png_gray
 
 from trajformer.data import (AgentTrack, WindowConfig, extract_windows, load_dataset_root,
-                             load_scene_dir, load_tracks, resample, write_tracks)
+                             load_scene_dir, load_tracks, resample, root_digest, scene_files,
+                             write_tracks)
 from trajformer.errors import DataError
 from trajformer.maps import load_scene_map, read_png_gray, write_pgm
 
@@ -463,6 +464,58 @@ def test_two_scene_dirs_with_one_scene_id_name_both(tmp_path):
     shutil.copytree(first, second)
     with pytest.raises(DataError, match=re.escape(f"{first} and {second} both hold scene 's0'")):
         load_dataset_root(tmp_path)
+
+
+def test_root_digest_covers_the_files_each_scene_is_read_from(tmp_path):
+    root = tmp_path / "root"
+    root.mkdir()
+    make_scene_dir(root, "s0")
+    scene = make_scene_dir(root, "s1")
+    digest = root_digest(root, "canonical")
+    assert list(digest) == ["adapter", "scenes"] and digest["adapter"] == "canonical"
+    assert list(digest["scenes"]) == ["s0", "s1"]
+    assert root_digest(root, "dut")["scenes"] == digest["scenes"]
+    meta, files = scene_files(scene)
+    assert files == (scene / "scene.meta", scene / "map.pgm", scene / "tracks.csv")
+    (scene / "notes.txt").write_text("not read by the loader")
+    (root / "README").write_text("not a scene")
+    assert root_digest(root, "canonical") == digest
+    copy = tmp_path / "renamed"  # content, not the directory name, is digested
+    shutil.copytree(root, copy)
+    assert root_digest(copy, "canonical") == digest
+    for path in files:  # one byte more in any file changes that scene's digest only
+        path.write_bytes(path.read_bytes() + b"\n")
+        changed = root_digest(root, "canonical")["scenes"]
+        assert changed["s0"] == digest["scenes"]["s0"] and changed["s1"] != digest["scenes"]["s1"]
+        shutil.copy(copy / "s1" / path.name, path)
+    assert root_digest(root, "canonical") == digest
+
+
+def test_root_digest_reads_the_tracks_file_scene_meta_names(tmp_path):
+    scene = make_scene_dir(tmp_path)
+    digest = root_digest(tmp_path, "canonical")
+    (scene / "tracks.csv").rename(scene / "other.csv")
+    with (scene / "scene.meta").open("a") as f:
+        f.write("tracks=other.csv\n")
+    assert scene_files(scene)[1][2] == scene / "other.csv"
+    assert len(load_scene_dir(scene).tracks) == 1
+    assert root_digest(tmp_path, "canonical")["scenes"]["s0"] != digest["scenes"]["s0"]
+
+
+@pytest.mark.parametrize("name", ["map.pgm", "tracks.csv"])
+def test_root_digest_names_a_missing_file(tmp_path, name):
+    scene = make_scene_dir(tmp_path)
+    (scene / name).unlink()
+    with pytest.raises(DataError, match=re.escape(str(scene / name))):
+        root_digest(tmp_path, "canonical")
+
+
+def test_root_digest_refuses_two_scene_dirs_with_one_scene_id(tmp_path):
+    first = make_scene_dir(tmp_path, "s0")
+    second = tmp_path / "s0_copy"
+    shutil.copytree(first, second)
+    with pytest.raises(DataError, match=re.escape(f"{first} and {second} both hold scene 's0'")):
+        root_digest(tmp_path, "canonical")
 
 
 @pytest.mark.parametrize("mpp", ["abc", "nan", "0", "-0.1"])

@@ -87,6 +87,25 @@ def test_cache_roundtrip_and_determinism(tmp_path, scenes):
     assert meta["window"]["delta"] == WCFG.delta
 
 
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_cache_of_another_version_names_file_and_versions(tmp_path, scenes, version):
+    path = tmp_path / "cache.bin"
+    save_feature_cache(path, build_feature_set(scenes, WCFG, PG, SC), WCFG, PG, SC)
+    arrays, meta = load_bundle(path)
+    assert meta["cache_version"] == 2
+    save_bundle(path, arrays, {**meta, "cache_version": version})
+    with pytest.raises(DataError, match=f"feature cache version {version!r}, expected 2") as exc:
+        load_feature_cache(path)
+    assert str(path) in str(exc.value)
+
+
+def test_cache_records_its_source(tmp_path, scenes):
+    path = tmp_path / "cache.bin"
+    source = {"adapter": "canonical", "scenes": {"s": "00"}}
+    save_feature_cache(path, build_feature_set(scenes, WCFG, PG, SC), WCFG, PG, SC, source)
+    assert load_feature_cache(path)[1]["source"] == source
+
+
 def test_cache_rejects_other_bundles(tmp_path):
     (tmp_path / "junk.bin").write_bytes(b"not a bundle")
     with pytest.raises(DataError):
