@@ -5,7 +5,10 @@ divergence. Every command validates its configuration, checkpoints and
 input roots before touching the filesystem; all outputs land under the
 configured output directory, which is guarded by a lock file against
 concurrent runs. Caches and checkpoints record the content digest of their
-root; ``evaluate`` checks the held-out protocol and reuses a test cache by it.
+root; ``evaluate`` checks the held-out protocol by it. ``evaluate`` and
+``predict`` read their features from a cache that records their root's
+digest and settings (``predict`` looks in the ``cache/`` beside its
+checkpoint), else build them from the root.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_run_config
-from .data import ADAPTERS, WindowConfig, root_digest, write_tracks
+from .data import ADAPTERS, WindowConfig, root_digest, root_scenes, scene_maps, write_tracks
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import cv_kalman_predict, emit_report, evaluate
 from .features import FeatureStats, PolarGridConfig, SemanticConfig
 from .model import Checkpoint, ModelParams, load_checkpoint, save_checkpoint
-from .pipeline import (FeatureSet, decode_predictor, load_feature_cache, load_root,
-                       save_feature_cache, settings_record)
-from .plots import render_window_svg
+from .pipeline import (decode_predictor, load_feature_cache, load_root, save_feature_cache,
+                       settings_record)
+from .plots import map_background, render_window_svg
 from .serialize import atomic_open
 from .synth import SCENARIOS, synth_dataset
 from .training import train
@@ -221,23 +224,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _test_features(cfg: RunConfig, test_root, source: dict) -> FeatureSet:
-    """The test root's FeatureSet, read from the output directory's test cache if
-    that records this root, the run's settings and context features, else built."""
-    cache_path = cfg.out_dir / "cache" / "test_features.bin"
-    expected = {"source": source, "context": True,
-                **settings_record(cfg.window, cfg.grid, cfg.semantic)}
-    try:
-        fset, meta = load_feature_cache(cache_path)
+def _matching_cache(paths, source: dict, settings: dict, context: bool):
+    """The first of the feature caches ``paths`` that loads and records ``source``,
+    ``settings`` and, if ``context``, context features: (path, FeatureSet, []).
+    Else (None, None, [(path, why it does not match), ...])."""
+    expected = {"source": source, **({"context": True} if context else {}), **settings}
+    reasons = []
+    for path in paths:
+        try:
+            fset, meta = load_feature_cache(path)
+        except DataError as exc:
+            reasons.append((path, str(exc) if path.exists() else "no cache"))
+            continue
         differing = ", ".join(name for name, value in expected.items() if meta.get(name) != value)
-        reason = differing and f"cache records other {differing}"
-    except DataError as exc:
-        reason = str(exc) if cache_path.exists() else "no cache"
-    if not reason:
-        print(f"test features: {cache_path}")
-        return fset
-    print(f"test features: built from {test_root} ({reason})")
-    return load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)[1]
+        if not differing:
+            return path, fset, []
+        reasons.append((path, f"cache records other {differing}"))
+    return None, None, reasons
 
 
 def cmd_evaluate(args) -> int:
@@ -282,7 +285,15 @@ def cmd_evaluate(args) -> int:
         checkpoints[method] = (ckpt, context)
     if not methods:
         raise ConfigError(f"no methods requested (--methods {args.methods!r})")
-    fset = _test_features(cfg, test_root, test_source)
+    # one test cache serves context_tf and vanilla_tf, so it must hold context features
+    cache_path, fset, reasons = _matching_cache(
+        [cfg.out_dir / "cache" / "test_features.bin"], test_source,
+        settings_record(cfg.window, cfg.grid, cfg.semantic), context=True)
+    if fset is None:
+        print(f"test features: built from {test_root} ({reasons[0][1]})")
+        fset = load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)[1]
+    else:
+        print(f"test features: {cache_path}")
     if len(fset) == 0:
         raise DataError(f"no windows in {test_root}")
 
@@ -317,10 +328,23 @@ def cmd_predict(args) -> int:
     context = _checkpoint_context(ckpt, args.checkpoint)
     if not Path(args.root).is_dir():
         raise ConfigError(f"window source {args.root!r} does not exist")
-    scenes, fset = load_root(args.root, args.adapter, window, grid, semantic)
+    # train writes the checkpoint beside the cache directory that preprocess filled
+    scenes = root_scenes(args.root)
+    cache_path, fset, reasons = _matching_cache(
+        sorted(Path(args.checkpoint).parent.glob("cache/*_features.bin")),
+        root_digest(args.root, args.adapter, scenes), settings_record(window, grid, semantic),
+        context)
+    if fset is None:
+        reason = "; ".join(f"{path.name}: {why}" for path, why in reasons) or "no cache"
+        print(f"features: built from {args.root} ({reason})")
+        loaded, fset = load_root(args.root, args.adapter, window, grid, semantic)
+        maps = {s.scene_map.scene_id: s.scene_map for s in loaded}
+    else:
+        # the digest matched, so these files loaded cleanly when the cache was built
+        print(f"features: {cache_path}")
+        maps = scene_maps(scenes) if args.plot else {}
     if len(fset) == 0:
         raise DataError(f"no windows in {args.root}")
-    maps_by_scene = {s.scene_map.scene_id: s.scene_map for s in scenes}
     out_dir = Path(args.out)
 
     with _OutputLock(out_dir):
@@ -328,6 +352,7 @@ def cmd_predict(args) -> int:
 
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_path = out_dir / "predictions.csv"
+        backgrounds = {}  # scene id -> its map's SVG rects, drawn once per scene
         with atomic_open(dump_path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["scene_id", "ego_id", "start_index", "step",
@@ -339,9 +364,15 @@ def cmd_predict(args) -> int:
                                      repr(float(pred[step, 0])), repr(float(pred[step, 1])),
                                      repr(float(fut[step, 0])), repr(float(fut[step, 1]))])
                 if args.plot:
-                    svg = render_window_svg(maps_by_scene[scene_id], fset.obs_m[i], pred, fut,
-                                            title=f"{scene_id} {ego_id} @{start}")
-                    with atomic_open(out_dir / f"{scene_id}_{ego_id}_{start}.svg", "w",
+                    # ids hold no "/", so plots/<scene_id>/<ego_id>_<start>.svg is unique
+                    scene_dir = out_dir / "plots" / scene_id
+                    if scene_id not in backgrounds:
+                        backgrounds[scene_id] = map_background(maps[scene_id])
+                        scene_dir.mkdir(parents=True, exist_ok=True)
+                    svg = render_window_svg(maps[scene_id], fset.obs_m[i], pred, fut,
+                                            title=f"{scene_id} {ego_id} @{start}",
+                                            background=backgrounds[scene_id])
+                    with atomic_open(scene_dir / f"{ego_id}_{start}.svg", "w",
                                      encoding="utf-8") as svg_file:
                         svg_file.write(svg)
         print(f"wrote {dump_path}" + (" and SVG plots" if args.plot else ""))

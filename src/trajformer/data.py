@@ -355,10 +355,14 @@ def load_scene_dir(scene_dir, adapter: str = "canonical") -> Scene:
     return _load_scene(*scene_files(scene_dir), adapter)
 
 
+def _scene_map(meta: dict, files: tuple[Path, Path, Path]) -> SceneMap:
+    # meters_per_pixel was validated by parse_scene_meta
+    return load_scene_map(files[1], float(meta["meters_per_pixel"]), scene_id=meta["scene_id"])
+
+
 def _load_scene(meta: dict, files: tuple[Path, Path, Path], adapter: str) -> Scene:
-    _, map_path, tracks_path = files
-    mpp = float(meta["meters_per_pixel"])  # validated by parse_scene_meta
-    scene_map = load_scene_map(map_path, mpp, scene_id=meta["scene_id"])
+    scene_map, tracks_path = _scene_map(meta, files), files[2]
+    mpp = scene_map.meters_per_pixel
     tracks, file_scene_id = load_tracks(tracks_path, adapter, mpp)
     if ADAPTERS[adapter].scene is not None and file_scene_id and file_scene_id != meta["scene_id"]:
         raise DataError(
@@ -369,7 +373,7 @@ def _load_scene(meta: dict, files: tuple[Path, Path, Path], adapter: str) -> Sce
     return Scene(scene_map=scene_map, tracks=tracks, meta=meta)
 
 
-def _root_scenes(root) -> list[tuple[dict, tuple[Path, Path, Path]]]:
+def root_scenes(root) -> list[tuple[dict, tuple[Path, Path, Path]]]:
     """``scene_files`` of every scene subdirectory of a dataset root, sorted
     by name; two directories with one scene id are a DataError naming both."""
     root = Path(root)
@@ -388,14 +392,21 @@ def _root_scenes(root) -> list[tuple[dict, tuple[Path, Path, Path]]]:
 
 def load_dataset_root(root, adapter: str = "canonical") -> list[Scene]:
     """Load every scene subdirectory (sorted by name) under a dataset root."""
-    return [_load_scene(meta, files, adapter) for meta, files in _root_scenes(root)]
+    return [_load_scene(meta, files, adapter) for meta, files in root_scenes(root)]
 
 
-def root_digest(root, adapter: str) -> dict:
+def scene_maps(scenes) -> dict[str, SceneMap]:
+    """The label map of each of a root's ``root_scenes``, by scene id, read
+    without its tracks file."""
+    return {meta["scene_id"]: _scene_map(meta, files) for meta, files in scenes}
+
+
+def root_digest(root, adapter: str, scenes=None) -> dict:
     """A root's content as caches and checkpoints record it: the adapter and, by
-    scene id, a sha256 over the length and bytes of each of ``scene_files``."""
-    scenes = {}
-    for meta, files in _root_scenes(root):
+    scene id, a sha256 over the length and bytes of each of ``scene_files``.
+    ``scenes`` is the root's ``root_scenes``, read here when not given."""
+    digests = {}
+    for meta, files in root_scenes(root) if scenes is None else scenes:
         digest = hashlib.sha256()
         for path in files:
             try:
@@ -403,5 +414,5 @@ def root_digest(root, adapter: str) -> dict:
             except OSError as exc:
                 raise DataError(f"{path}: cannot read ({exc})") from None
             digest.update(len(data).to_bytes(8, "little") + data)
-        scenes[meta["scene_id"]] = digest.hexdigest()
-    return {"adapter": adapter, "scenes": scenes}
+        digests[meta["scene_id"]] = digest.hexdigest()
+    return {"adapter": adapter, "scenes": digests}

@@ -145,6 +145,16 @@ def load_feature_cache(path) -> tuple[FeatureSet, dict]:
                + [n for n in ("keys", "context") if n not in meta])
     if missing:
         raise DataError(f"{path}: feature cache lacks {', '.join(missing)}")
-    fset = FeatureSet(keys=[(k[0], k[1], int(k[2])) for k in meta["keys"]],
-                      context=bool(meta["context"]), **{n: arrays[n] for n in CACHE_ARRAYS})
+    keys = meta["keys"]
+    bad = [keys] if type(keys) is not list else [
+        k for k in keys if not (type(k) is list and len(k) == 3 and type(k[0]) is str
+                                and type(k[1]) is str and type(k[2]) is int)]
+    if bad:
+        raise DataError(f"{path}: feature cache key {bad[0]!r} is not "
+                        "[scene_id, ego_id, start_index]")
+    if short := [n for n in CACHE_ARRAYS if len(arrays[n]) != len(keys)]:
+        raise DataError(f"{path}: feature cache {', '.join(short)} rows differ from its "
+                        f"{len(keys)} keys")
+    fset = FeatureSet(keys=[tuple(k) for k in keys], context=bool(meta["context"]),
+                      **{n: arrays[n] for n in CACHE_ARRAYS})
     return fset, meta

@@ -23,8 +23,10 @@ PREDICTION_COLOR = "#1f4fd8"   # blue
 GROUND_TRUTH_COLOR = "#1b9e3a"  # green
 
 
-def _map_rects(scene: SceneMap) -> list[str]:
-    rects = []
+def map_background(scene: SceneMap) -> str:
+    """The label map as a group of run-length rows of rects: the part of a
+    window's SVG that is the same for every window of the scene."""
+    rects = ['<g shape-rendering="crispEdges">']
     labels = scene.labels
     for r in range(scene.height):
         row = labels[r]
@@ -36,11 +38,13 @@ def _map_rects(scene: SceneMap) -> list[str]:
                 f'<rect x="{c0}" y="{r}" width="{c1 - c0}" height="1" '
                 f'fill="{LABEL_COLORS[row[c0]]}"/>'
             )
-    return rects
+    rects.append("</g>")
+    return "\n".join(rects)
 
 
 def _polyline(points_px: np.ndarray, color: str, width: float) -> str:
-    coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in points_px)
+    # Python floats format several times faster than numpy scalars, to the same text
+    coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in points_px.tolist())
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="{width}" stroke-linejoin="round" stroke-linecap="round"/>'
@@ -53,7 +57,10 @@ def render_window_svg(
     predicted_m: np.ndarray,
     ground_truth_m: np.ndarray,
     title: str = "",
+    background: str | None = None,
 ) -> str:
+    """One window's SVG; ``background`` is ``map_background(scene)``, which a
+    caller drawing many windows of a scene builds once and passes to each."""
     mpp = scene.meters_per_pixel
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {scene.width} {scene.height}" '
@@ -61,9 +68,7 @@ def render_window_svg(
     ]
     if title:
         parts.append(f"<title>{title}</title>")
-    parts.append('<g shape-rendering="crispEdges">')
-    parts.extend(_map_rects(scene))
-    parts.append("</g>")
+    parts.append(map_background(scene) if background is None else background)
     parts.append(_polyline(np.asarray(observed_m) / mpp, "#444444", 0.6))
     parts.append(_polyline(np.asarray(ground_truth_m) / mpp, GROUND_TRUTH_COLOR, 0.8))
     parts.append(_polyline(np.asarray(predicted_m) / mpp, PREDICTION_COLOR, 0.8))

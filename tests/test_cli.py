@@ -13,7 +13,7 @@ import pytest
 from oracle_helpers import load_report
 
 import trajformer
-from trajformer import cli
+from trajformer import cli, data
 from trajformer.cli import main
 from trajformer.config import build_run_config
 from trajformer.data import root_digest
@@ -312,14 +312,13 @@ def test_predict_dump_and_svg(tmp_path, dataset):
         per_window.setdefault((r["scene_id"], r["ego_id"], r["start_index"]), []).append(r)
     assert all(len(v) == 5 for v in per_window.values())  # kappa rows per window
 
-    svgs = sorted(pred_dir.glob("*.svg"))
+    svgs = sorted(pred_dir.glob("plots/*/*.svg"))
     assert len(svgs) == len(per_window)
     root = ET.parse(svgs[0]).getroot()  # well-formed XML
     assert root.tag.endswith("svg")
 
     # blue prediction polyline coordinates are the dump values / meters_per_pixel
-    key = svgs[0].stem.rsplit("_", 2)
-    window_rows = per_window[(key[0], key[1], key[2])]
+    window_rows = per_window[(svgs[0].parent.name, *svgs[0].stem.rsplit("_", 1))]
     polys = [el for el in root.iter() if el.tag.endswith("polyline")]
     blue = [el for el in polys if el.get("stroke") == "#1f4fd8"]
     assert len(blue) == 1
@@ -352,8 +351,34 @@ def test_divergent_resume_exits_3(tmp_path, dataset):
     assert rc == 3
 
 
-def test_predict_missing_scene_map_errors(tmp_path, dataset):
+def test_predict_svgs_of_ids_that_join_alike_are_all_written(tmp_path, dataset):
     out = train_pipeline(tmp_path, dataset)
+    root = tmp_path / "ids"
+    assert run("synth", "--out", str(root), "--scenario", "linear", "--n", "2",
+               "--scenes", "2", "--seed", "2") == 0
+    # scene s with agent p_1 and scene s_p with agent 1 both joined to s_p_1_<start>
+    for scene, scene_id, agent in (("linear_s2_00", "s", "p_1"), ("linear_s2_01", "s_p", "1")):
+        for name in ("scene.meta", "tracks.csv"):
+            path = root / scene / name
+            path.write_text(path.read_text().replace(scene, scene_id).replace(",ped0,",
+                                                                              f",{agent},"))
+    pred_dir = tmp_path / "pred"
+    assert run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(root),
+               "--out", str(pred_dir), "--plot") == 0
+    with open(pred_dir / "predictions.csv") as f:
+        windows = {(r["scene_id"], r["ego_id"], r["start_index"]) for r in csv.DictReader(f)}
+    assert {("s", "p_1"), ("s_p", "1")} <= {key[:2] for key in windows}
+    assert len(list(pred_dir.rglob("*.svg"))) == len(windows)  # none written over another
+    svgs = {(p.parent.name, *p.stem.rsplit("_", 1)) for p in pred_dir.glob("plots/*/*.svg")}
+    assert svgs == windows
+
+
+def test_predict_missing_scene_map_errors(tmp_path, dataset, capsys):
+    out = train_pipeline(tmp_path, dataset)
+    # a matching cache is present: predict on the training root reads its cache
+    assert run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(dataset),
+               "--out", str(tmp_path / "before"), "--plot") == 0
+    assert f"features: {out / 'cache' / 'train_features.bin'}\n" in capsys.readouterr().out
     (dataset / "linear_s1_00" / "map.pgm").unlink()
     rc = run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(dataset),
              "--out", str(tmp_path / "pred"), "--plot")
@@ -654,6 +679,104 @@ def test_evaluate_builds_from_the_root_unless_the_cache_matches(held_out, datase
     assert (after != before) == (change == "tracks_byte")
     cache.unlink(missing_ok=True)  # the report of a build from the root as it now is
     assert evaluate_held_out(dataset, out, held) == after
+
+
+def predict_held_out(out, held, pred_dir):
+    """predictions.csv and every SVG of ``predict --plot`` on ``held``, by path."""
+    assert run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(held),
+               "--out", str(pred_dir), "--plot") == 0
+    return {p.relative_to(pred_dir): p.read_bytes() for p in sorted(pred_dir.rglob("*"))
+            if p.is_file() and p.name != ".lock"}
+
+
+def test_predict_reads_the_matching_cache_beside_its_checkpoint(held_out, tmp_path, capsys,
+                                                               monkeypatch):
+    out, held = held_out
+    with monkeypatch.context() as m:
+        m.setattr(cli, "load_root", lambda *a, **k: pytest.fail("test root was loaded"))
+        m.setattr(data, "load_tracks", lambda *a, **k: pytest.fail("a tracks file was read"))
+        capsys.readouterr()
+        cached = predict_held_out(out, held, tmp_path / "cached")
+    assert f"features: {out / 'cache' / 'test_features.bin'}\n" in capsys.readouterr().out
+    assert len([p for p in cached if p.suffix == ".svg"]) == 32
+    shutil.rmtree(out / "cache")
+    assert predict_held_out(out, held, tmp_path / "built") == cached
+    assert f"features: built from {held} (no cache)\n" in capsys.readouterr().out
+
+
+PREDICT_REASONS = {"tracks_byte": "(test_features.bin: cache records other source; "
+                                  "train_features.bin: cache records other source)",
+                   "semantic": "(test_features.bin: cache records other semantic; "
+                               "train_features.bin: cache records other source, semantic)",
+                   "no_context": "(test_features.bin: cache records other context)",
+                   "no_cache": "(no cache)"}
+
+
+@pytest.mark.parametrize("change", list(PREDICT_REASONS))
+def test_predict_builds_from_the_root_unless_a_cache_matches(held_out, dataset, tmp_path,
+                                                              capsys, change):
+    out, held = held_out
+    if change == "tracks_byte":
+        edit_one_byte(held / "linear_s2_00" / "tracks.csv")
+    elif change in ("semantic", "no_context"):
+        other = "semantic.k=2" if change == "semantic" else "context.enabled=false"
+        assert run("preprocess",
+                   *desk_args(dataset, out, [f"data.test_root={held}", other])) == 0
+        if change == "no_context":  # the context-off test cache is the only one
+            (out / "cache" / "train_features.bin").unlink()
+    else:
+        shutil.rmtree(out / "cache")
+    capsys.readouterr()
+    after = predict_held_out(out, held, tmp_path / "after")
+    assert f"features: built from {held} {PREDICT_REASONS[change]}\n" in capsys.readouterr().out
+    shutil.rmtree(out / "cache", ignore_errors=True)  # a build from the root as it now is
+    assert predict_held_out(out, held, tmp_path / "built") == after
+
+
+def test_predict_offsets_only_checkpoint_uses_a_context_cache(held_out, dataset, tmp_path,
+                                                              capsys):
+    out, held = held_out
+    vanilla = train_pipeline(tmp_path / "vanilla", dataset, ["context.enabled=false"])
+    assert load_checkpoint(vanilla / "model.ckpt").meta["context"] is False
+    dumps = []
+    for context in ("false", "true"):  # preprocess rewrites the caches beside the checkpoint
+        assert run("preprocess", *desk_args(dataset, vanilla, [f"data.test_root={held}",
+                                                               f"context.enabled={context}"])) == 0
+        capsys.readouterr()
+        dumps.append(predict_held_out(vanilla, held, tmp_path / f"context_{context}"))
+        assert f"features: {vanilla / 'cache' / 'test_features.bin'}\n" in \
+            capsys.readouterr().out
+    shutil.rmtree(vanilla / "cache")
+    assert dumps == [predict_held_out(vanilla, held, tmp_path / "built")] * 2
+
+
+@pytest.mark.parametrize("fault", ["two_field_key", "short_rows"])
+def test_malformed_cache_is_a_non_match_and_train_exits_2(held_out, dataset, tmp_path, capsys,
+                                                          fault):
+    out, held = held_out
+    before = evaluate_held_out(dataset, out, held)
+    for tag in ("train", "test"):
+        cache = out / "cache" / f"{tag}_features.bin"
+        arrays, meta = load_bundle(cache)
+        if fault == "two_field_key":
+            meta = {**meta, "keys": [meta["keys"][0][:2], *meta["keys"][1:]]}
+        else:
+            arrays = {**arrays, "obs_m": arrays["obs_m"][:-1]}
+        save_bundle(cache, arrays, meta)
+    named = {"two_field_key": "is not [scene_id, ego_id, start_index]",
+             "short_rows": "obs_m rows differ from its"}[fault]
+    capsys.readouterr()
+    assert evaluate_held_out(dataset, out, held) == before
+    assert f"test features: built from {held} ({out / 'cache' / 'test_features.bin'}: " \
+        in capsys.readouterr().out
+    predict_held_out(out, held, tmp_path / "pred")
+    printed = capsys.readouterr().out
+    assert f"features: built from {held} (test_features.bin: " in printed and named in printed
+    ckpt = (out / "model.ckpt").read_bytes()
+    assert run("train", *desk_args(dataset, out, ["train.epochs=4"])) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'cache' / 'train_features.bin'}: feature cache" in err and named in err
+    assert (out / "model.ckpt").read_bytes() == ckpt
 
 
 def test_train_refuses_a_cache_of_another_version(tmp_path, dataset, capsys):

@@ -182,6 +182,31 @@ def test_cache_missing_array_names_file(tmp_path, scenes):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("key", [["s", "ped0"], ["s", "ped0", 1.0], ["s", 0, 1], "s,ped0,1",
+                                 ["s", "ped0", True]],
+                         ids=["two_fields", "float_start", "int_ego", "string", "bool_start"])
+def test_cache_key_that_is_not_a_window_key_names_file(tmp_path, scenes, key):
+    path = tmp_path / "cache.bin"
+    save_feature_cache(path, build_feature_set(scenes, WCFG, PG, SC), WCFG, PG, SC)
+    arrays, meta = load_bundle(path)
+    save_bundle(path, arrays, {**meta, "keys": [*meta["keys"][:-1], key]})
+    with pytest.raises(DataError, match="is not \\[scene_id, ego_id, start_index\\]") as exc:
+        load_feature_cache(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("short", ["features", "fut_m"])
+def test_cache_arrays_of_other_row_counts_than_keys_name_file(tmp_path, scenes, short):
+    path = tmp_path / "cache.bin"
+    save_feature_cache(path, build_feature_set(scenes, WCFG, PG, SC), WCFG, PG, SC)
+    arrays, meta = load_bundle(path)
+    save_bundle(path, {**arrays, short: arrays[short][:-1]}, meta)
+    with pytest.raises(DataError, match=f"{short} rows differ from its {len(meta['keys'])} keys"
+                       ) as exc:
+        load_feature_cache(path)
+    assert str(path) in str(exc.value)
+
+
 # ------------------------------------- features once per (agent, timestep)
 
 DESK_WINDOWS = WindowConfig(delta=10, kappa=20, stride=5)
