@@ -101,8 +101,8 @@ class WindowConfig:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
 
 
 @dataclass

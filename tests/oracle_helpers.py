@@ -4,9 +4,9 @@ These are deliberately written from the definitions (explicit loops,
 meshgrids, textbook filter equations) rather than sharing any code with
 the package. Some references reuse package parts that other oracles check:
 the decode and training references run the gradient-checked teacher-forced
-layers on the autodiff tape one window at a time, and the window-feature
-reference calls the polar grid and semantic histogram kernels that
-``brute_force_grid`` and ``brute_force_semantics`` pin down. The tracks
+layers on the autodiff tape one window at a time. The window-feature
+reference builds each step with ``brute_force_grid`` and
+``brute_force_semantics``, not with the package's kernels. The tracks
 loader reference shares only the package's CSV reader and float parser.
 
 The composed tape ops (``matmul``, ``transpose``, ``relu``, ``softmax``)
@@ -28,7 +28,7 @@ from trajformer import autodiff as ad
 from trajformer.data import AGENT_TYPES, AgentTrack, TrajectoryWindow, _parse_float, _read_csv
 from trajformer.errors import DataError, DivergenceError
 from trajformer.evaluation import _CSV_HEADER, MetricsRow, MetricsTable
-from trajformer.features import compute_offsets, feature_dim, polar_occupancy, semantic_histogram
+from trajformer.features import compute_offsets, feature_dim
 from trajformer.model import (ModelParams, decoder_forward, embed_source, embed_target,
                               encoder_forward, project_output, teacher_forced_offsets)
 from trajformer.pipeline import FeatureSet
@@ -290,8 +290,8 @@ def _window_features(window, refs, by_id, scene_map, pg, sc, context):
                 if 0 <= cand < len(track) and abs(track.t[cand] - t_i) <= 1e-6:
                     neighbors.append((track.xy_px[cand], track.agent_type))
                     break
-        out[i, 2 : 2 + pg.n_cells] = polar_occupancy(ego_px, neighbors, pg).reshape(-1)
-        out[i, 2 + pg.n_cells :] = semantic_histogram(ego_px, scene_map, sc)
+        out[i, 2 : 2 + pg.n_cells] = brute_force_grid(ego_px, neighbors, pg).reshape(-1)
+        out[i, 2 + pg.n_cells :] = brute_force_semantics(ego_px, scene_map, sc)
     return out
 
 

@@ -457,6 +457,24 @@ def test_predict_checkpoint_without_settings_exits_2(tmp_path, dataset, capsys):
         assert not pred_dir.exists()
 
 
+@pytest.mark.parametrize("section,key,value", [("semantic", "d_max_px", float("nan")),
+                                               ("window", "rate_hz", float("nan")),
+                                               ("grid", "threshold_px", float("inf"))])
+def test_predict_checkpoint_with_non_finite_setting_exits_2(tmp_path, dataset, capsys,
+                                                            section, key, value):
+    out = train_pipeline(tmp_path, dataset)
+    arrays, meta = load_bundle(out / "model.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    save_bundle(bad, arrays, {**meta, section: {**meta[section], key: value}})
+    pred_dir = tmp_path / "pred"
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", str(bad), "--root", str(dataset),
+               "--out", str(pred_dir)) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and key in err
+    assert not pred_dir.exists()
+
+
 @pytest.mark.parametrize("epochs_done", [None, "two", 1.5], ids=["missing", "string", "float"])
 def test_resume_without_valid_epochs_done_exits_2(tmp_path, dataset, capsys, epochs_done):
     out = train_pipeline(tmp_path, dataset)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from oracle_helpers import brute_force_grid, brute_force_semantics
 
+from trajformer import features
 from trajformer.data import AgentTrack, TrajectoryWindow
 from trajformer.features import (FeatureStats, PolarGridConfig, SemanticConfig, build_features,
                                  compute_offsets, feature_dim, polar_occupancy,
                                  semantic_histogram)
 from trajformer.maps import N_LABELS, SceneMap
+from trajformer.synth import generate_scenes
 
 
 # -------------------------------------------------------------- offsets
@@ -115,6 +117,33 @@ def test_grid_total_count_equals_in_range_neighbors():
         assert polar_occupancy(ego, neighbors, cfg).sum() == expected
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_grid_over_many_steps_matches_brute_force_per_step(channels):
+    rng = np.random.default_rng(7)
+    cfg = PolarGridConfig(threshold_px=50, radial_bins=5, angular_bins=4, type_channels=channels)
+    n = 400
+    ego = rng.integers(-100, 100, size=(n, 2)).astype(np.float64)  # integral: exact offsets
+    # on the threshold circle, at angles 0 and pi/2, at the ego's own position
+    exact = [(50, 0), (0, 50), (-50, 0), (30, 40), (-30, -40), (10, 0), (0, 10), (0, 0)]
+    kinds = ("pedestrian", "vehicle", "cyclist")
+    neighbors = [(ego + off, kinds[i % 3]) for i, off in enumerate(exact)]
+    neighbors += [(ego + rng.uniform(-70, 70, size=(n, 2)), kinds[i % 3]) for i in range(6)]
+    for pos, _ in neighbors:
+        pos[rng.random(n) < 0.4] = np.nan
+    empty = rng.random(n) < 0.1
+    for pos, _ in neighbors:
+        pos[empty] = np.nan
+    grids = polar_occupancy(ego, neighbors, cfg)
+    assert grids.shape == (n, 5, 4, channels)
+    for i in range(n):
+        here = [(pos[i], kind) for pos, kind in neighbors if not np.isnan(pos[i, 0])]
+        assert np.array_equal(grids[i], brute_force_grid(ego[i], here, cfg)), f"step {i}"
+        if i % 50 == 0:
+            assert np.array_equal(polar_occupancy(ego[i], here, cfg), grids[i])
+    assert not grids[empty].any() and grids[~empty].any()
+    assert polar_occupancy(ego, [], cfg).shape == (n, 5, 4, channels)
+
+
 # -------------------------------------------------------- semantics
 
 def uniform_scene(label=1, shape=(30, 40)):
@@ -171,6 +200,74 @@ def test_semantics_always_a_distribution():
         assert abs(out.sum() - 1.0) < 1e-9
         assert np.all(out >= 0) and np.all(out <= 1)
 
+
+def crossing_map():
+    return generate_scenes("crossing", 1, 0, 1)[0].scene_map
+
+
+def awkward_positions(rng, h, w):
+    """Random, half-pixel (exact ties at the k-th distance), border, corner
+    and off-map positions."""
+    half = np.round(rng.uniform(-2, [w + 1, h + 1], size=(700, 2)) * 2) / 2
+    free = rng.uniform(-6, [w + 5, h + 5], size=(700, 2))
+    xs = np.array([-3.0, 0.0, 0.5, w - 1.5, w - 1.0, w + 2.0])
+    ys = np.array([-3.0, 0.0, 0.5, h - 1.5, h - 1.0, h + 2.0])
+    corners = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    edge_x = np.stack([rng.choice(xs, 300), np.round(rng.uniform(0, h - 1, 300) * 2) / 2], axis=1)
+    edge_y = np.stack([np.round(rng.uniform(0, w - 1, 300) * 2) / 2, rng.choice(ys, 300)], axis=1)
+    return np.concatenate([half, free, corners, edge_x, edge_y])
+
+
+@pytest.mark.parametrize("k,d_max", [(16, 32), (16, 32.5), (1, 0.4), (4, 2), (50, 5), (200, 10)])
+def test_semantics_over_many_positions_matches_exhaustive_oracle(k, d_max):
+    scene = crossing_map()
+    h, w = scene.labels.shape
+    positions = awkward_positions(np.random.default_rng(k), h, w)
+    assert len(positions) >= 2000
+    cfg = SemanticConfig(k=k, d_max_px=d_max)
+    hists = semantic_histogram(positions, scene, cfg)
+    assert hists.shape == (len(positions), N_LABELS)
+    for i, pos in enumerate(positions):
+        assert np.array_equal(hists[i], brute_force_semantics(pos, scene, cfg)), f"row {i} {pos}"
+    for i in range(0, len(positions), 97):
+        assert np.array_equal(semantic_histogram(positions[i], scene, cfg), hists[i])
+
+
+def test_semantics_rows_the_first_stencil_cannot_hold_are_searched_again(monkeypatch):
+    # a 3-row strip: a 13x13 first stencil holds at most 39 map pixels, fewer than k
+    rng = np.random.default_rng(8)
+    scene = SceneMap("s", rng.integers(0, 6, size=(3, 120)).astype(np.uint8), 0.1)
+    cfg = SemanticConfig(k=50, d_max_px=20)
+    calls = []
+    search = features._nearest_label_counts
+
+    def spy(x, y, labels, cfg, radius):
+        counts, decided = search(x, y, labels, cfg, radius)
+        calls.append((len(x), radius, int(decided.sum())))
+        return counts, decided
+
+    monkeypatch.setattr(features, "_nearest_label_counts", spy)
+    positions = awkward_positions(rng, 3, 120)[::5]
+    hists = semantic_histogram(positions, scene, cfg)
+    assert calls == [(len(positions), 6, 0), (len(positions), 21, len(positions))]
+    for i, pos in enumerate(positions):
+        assert np.array_equal(hists[i], brute_force_semantics(pos, scene, cfg)), f"row {i} {pos}"
+
+
+
+def test_semantics_on_small_maps_matches_exhaustive_oracle():
+    # maps a few pixels wide truncate the disk, so many rows take the second search
+    rng = np.random.default_rng(9)
+    for trial in range(1000):
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        scene = SceneMap("s", rng.integers(0, 6, size=(h, w)).astype(np.uint8), 0.1)
+        cfg = SemanticConfig(k=int(rng.integers(1, 30)),
+                             d_max_px=float(rng.choice([0.3, 0.5, 1, 1.5, 2.5, 4, 7.3])))
+        positions = np.round(rng.uniform(-2, [w + 2, h + 2], size=(8, 2)) * 2) / 2
+        hists = semantic_histogram(positions, scene, cfg)
+        for i, pos in enumerate(positions):
+            assert np.array_equal(hists[i], brute_force_semantics(pos, scene, cfg)), \
+                f"trial {trial} row {i}"
 
 # ------------------------------------------------------- build_features
 
