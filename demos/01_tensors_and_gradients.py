@@ -29,11 +29,11 @@ mask = np.triu(np.ones((3, 3), dtype=bool), k=1)  # step i sees steps <= i
 
 
 def attention_loss():
-    out, weights = ad.attention(q, k, v, mask)
-    return ad.tsum(ad.mul(out, proj)), weights
+    return ad.tsum(ad.mul(ad.attention(q, k, v, mask), proj))
 
 
-loss, weights = attention_loss()
+loss = attention_loss()
+weights = ad.attention_weights(q.data, k.data, mask)  # the softmax rows the node applies
 grads = backward(loss)
 print("loss value :", f"{loss.item():.6f}")
 print("attention rows sum to", weights.sum(axis=-1).reshape(-1))
@@ -47,9 +47,9 @@ for leaf in (q, k, v):
     for i in range(flat.size):
         keep = flat[i]
         flat[i] = keep + h
-        up = attention_loss()[0].item()
+        up = attention_loss().item()
         flat[i] = keep - h
-        down = attention_loss()[0].item()
+        down = attention_loss().item()
         flat[i] = keep
         numeric = (up - down) / (2 * h)
         worst = max(worst, abs(analytic[i] - numeric) / max(abs(numeric), 1e-6))

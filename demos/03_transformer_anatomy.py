@@ -9,7 +9,7 @@ teacher-forcing inputs cannot change earlier decoder outputs.
 import numpy as np
 
 from trajformer.model import (ModelConfig, ModelParams, positional_encoding,
-                              teacher_forced_offsets)
+                              teacher_forced_numpy, teacher_forced_offsets)
 
 print("== positional encoding ==")
 pe = positional_encoding(6, 8)
@@ -24,15 +24,15 @@ features = rng.normal(size=(8, 10))
 targets = rng.normal(scale=0.1, size=(6, 2))
 
 print("\n== attention weights via the introspection hook ==")
-sink = []
-teacher_forced_offsets(params, features, targets, attn_sink=sink)
+sink = []  # one record per block and head, weights (windows, queries, keys)
+teacher_forced_numpy(params, features[None], targets[None], attn_sink=sink)
 print(f"{len(sink)} weight matrices recorded "
       f"({config.n_layers} layers x {config.n_heads} heads x "
       "enc-self/dec-self/dec-cross)")
 record = next(r for r in sink if r["block"].endswith("self_attn"))
 print(f"decoder self-attention ({record['block']}, head {record['head']}):")
-print(record["weights"])
-print("rows sum to", record["weights"].sum(axis=-1), "and the upper triangle is")
+print(record["weights"][0])
+print("rows sum to", record["weights"][0].sum(axis=-1), "and the upper triangle is")
 print("zero: a step cannot attend to its future.")
 
 print("\n== causality under teacher forcing ==")

@@ -234,14 +234,13 @@ def swapaxes(a, axis1: int, axis2: int) -> Tensor:
                   lambda g: (g.swapaxes(axis1, axis2),))
 
 
-def attention(q, k, v, mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention, softmax(q k^T / sqrt(d_k)) v, as one node.
 
     q (..., Lq, d_k), k and v (..., Lk, d_k) with equal leading axes (batch,
     heads). ``mask`` (Lq, Lk) marks blocked keys with True; their weights
-    are exact zeros. Returns the output (..., Lq, d_k) and the attention
-    weights (..., Lq, Lk) as a plain array. The tape keeps only q, k and v;
-    the backward pass recomputes the weights from them.
+    are exact zeros. Returns the output (..., Lq, d_k). The tape keeps only
+    q, k and v; the backward pass recomputes the weights from them.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.data.ndim < 2 or k.shape != v.shape or q.shape[:-2] != k.shape[:-2]
@@ -261,7 +260,7 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarr
     out = w @ v.data
     if out.ndim > 2:  # lay out (..., H, Lq, d_k) with Lq outside H: merging heads is a view
         out = np.ascontiguousarray(out.swapaxes(-3, -2)).swapaxes(-3, -2)
-    return Tensor(out, (q, k, v), "attention", vjp), w
+    return Tensor(out, (q, k, v), "attention", vjp)
 
 
 def concat(parts, axis: int = 0) -> Tensor:

@@ -6,9 +6,9 @@ input roots before touching the filesystem; all outputs land under the
 configured output directory, which is guarded by a lock file against
 concurrent runs. Caches and checkpoints record the content digest of their
 root; ``evaluate`` checks the held-out protocol by it. ``evaluate`` and
-``predict`` read their features from a cache that records their root's
-digest and settings (``predict`` looks in the ``cache/`` beside its
-checkpoint), else build them from the root.
+``predict`` get their windows by one rule, ``pipeline.inference_windows``:
+from a cache in ``<out_dir>/cache`` or ``<checkpoint dir>/cache`` that
+records their root's digest and settings, else from the root.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_run_config
-from .data import ADAPTERS, WindowConfig, root_digest, root_scenes, scene_maps, write_tracks
+from .data import ADAPTERS, root_digest, root_scenes, scene_maps, write_tracks
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import cv_kalman_predict, emit_report, evaluate
-from .features import FeatureStats, PolarGridConfig, SemanticConfig
+from .features import FeatureStats
 from .model import Checkpoint, ModelParams, load_checkpoint, save_checkpoint
-from .pipeline import (decode_predictor, load_feature_cache, load_root, save_feature_cache,
-                       settings_record)
+from .pipeline import (decode_predictor, inference_windows, load_feature_cache, load_root,
+                       other_settings, recorded_settings, save_feature_cache, settings_record)
 from .plots import map_background, render_window_svg
 from .serialize import atomic_open
 from .synth import SCENARIOS, synth_dataset
@@ -97,11 +97,8 @@ def _checkpoint_context(ckpt: Checkpoint, path) -> bool:
 def _require_settings(meta: dict, cfg: RunConfig, source) -> None:
     """Hold ``source``, a feature cache or checkpoint with metadata ``meta``, to
     the run's window, grid and semantic settings: a section it does not record
-    is a DataError, one that differs a ConfigError."""
-    expected = settings_record(cfg.window, cfg.grid, cfg.semantic)
-    if missing := [name for name in expected if name not in meta]:
-        raise DataError(f"{source}: records no {', '.join(missing)} settings")
-    if differing := [name for name, value in expected.items() if meta[name] != value]:
+    validly is a DataError, one that differs a ConfigError."""
+    if differing := other_settings(meta, source, cfg.window, cfg.grid, cfg.semantic):
         raise ConfigError(f"{source} was built with other {', '.join(differing)} settings "
                           "than the run config")
 
@@ -224,33 +221,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _matching_cache(paths, source: dict, settings: dict, context: bool):
-    """The first of the feature caches ``paths`` that loads and records ``source``,
-    ``settings`` and, if ``context``, context features: (path, FeatureSet, []).
-    Else (None, None, [(path, why it does not match), ...])."""
-    expected = {"source": source, **({"context": True} if context else {}), **settings}
-    reasons = []
-    for path in paths:
-        try:
-            fset, meta = load_feature_cache(path)
-        except DataError as exc:
-            reasons.append((path, str(exc) if path.exists() else "no cache"))
-            continue
-        differing = ", ".join(name for name, value in expected.items() if meta.get(name) != value)
-        if not differing:
-            return path, fset, []
-        reasons.append((path, f"cache records other {differing}"))
-    return None, None, reasons
-
-
 def cmd_evaluate(args) -> int:
     cfg = build_run_config(args.config, args.set)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.self_test_oracle and "oracle" not in methods:
         methods.append("oracle")
     valid = {"context_tf", "vanilla_tf", "cv_kalman", "oracle"}
-    unknown = [m for m in methods if m not in valid]
-    if unknown:
+    if unknown := [m for m in methods if m not in valid]:
         raise ConfigError(f"unknown methods {unknown}; valid: {sorted(valid)}")
     test_root = args.test_root or cfg.test_root
     if not test_root:
@@ -285,17 +262,8 @@ def cmd_evaluate(args) -> int:
         checkpoints[method] = (ckpt, context)
     if not methods:
         raise ConfigError(f"no methods requested (--methods {args.methods!r})")
-    # one test cache serves context_tf and vanilla_tf, so it must hold context features
-    cache_path, fset, reasons = _matching_cache(
-        [cfg.out_dir / "cache" / "test_features.bin"], test_source,
-        settings_record(cfg.window, cfg.grid, cfg.semantic), context=True)
-    if fset is None:
-        print(f"test features: built from {test_root} ({reasons[0][1]})")
-        fset = load_root(test_root, cfg.adapter, cfg.window, cfg.grid, cfg.semantic)[1]
-    else:
-        print(f"test features: {cache_path}")
-    if len(fset) == 0:
-        raise DataError(f"no windows in {test_root}")
+    fset = inference_windows(test_root, cfg.adapter, test_source, cfg.out_dir / "cache",
+                             cfg.window, cfg.grid, cfg.semantic, "context_tf" in checkpoints)
 
     with _OutputLock(cfg.out_dir):
         predictions = {method: decode_predictor(ckpt.params, ckpt.stats, fset, context)
@@ -319,32 +287,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint, with_adam=False)
-    try:
-        window, grid, semantic = (cls(**ckpt.meta[name]) for cls, name in (
-            (WindowConfig, "window"), (PolarGridConfig, "grid"), (SemanticConfig, "semantic")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{args.checkpoint}: checkpoint lacks valid window, grid or semantic "
-                        f"settings ({exc!r})") from None
+    settings = recorded_settings(ckpt.meta, args.checkpoint)
     context = _checkpoint_context(ckpt, args.checkpoint)
     if not Path(args.root).is_dir():
         raise ConfigError(f"window source {args.root!r} does not exist")
     # train writes the checkpoint beside the cache directory that preprocess filled
     scenes = root_scenes(args.root)
-    cache_path, fset, reasons = _matching_cache(
-        sorted(Path(args.checkpoint).parent.glob("cache/*_features.bin")),
-        root_digest(args.root, args.adapter, scenes), settings_record(window, grid, semantic),
-        context)
-    if fset is None:
-        reason = "; ".join(f"{path.name}: {why}" for path, why in reasons) or "no cache"
-        print(f"features: built from {args.root} ({reason})")
-        loaded, fset = load_root(args.root, args.adapter, window, grid, semantic)
-        maps = {s.scene_map.scene_id: s.scene_map for s in loaded}
-    else:
-        # the digest matched, so these files loaded cleanly when the cache was built
-        print(f"features: {cache_path}")
-        maps = scene_maps(scenes) if args.plot else {}
-    if len(fset) == 0:
-        raise DataError(f"no windows in {args.root}")
+    fset = inference_windows(args.root, args.adapter, root_digest(args.root, args.adapter, scenes),
+                             Path(args.checkpoint).parent / "cache", *settings, context)
+    maps = scene_maps(scenes) if args.plot else {}
     out_dir = Path(args.out)
 
     with _OutputLock(out_dir):

@@ -87,6 +87,19 @@ class AgentTrack:
         return len(self.t)
 
 
+def check_setting(settings, name: str, low: int | None = None) -> None:
+    """ValueError naming field ``name`` of ``settings`` unless it is an int, not a
+    bool, of at least ``low`` or, with no ``low``, a positive finite number."""
+    value = getattr(settings, name)
+    if low is None:
+        if type(value) is bool or not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    elif type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     delta: int          # observed steps
@@ -95,14 +108,8 @@ class WindowConfig:
     rate_hz: float = 10.0
 
     def __post_init__(self):
-        if self.delta < 2:
-            raise ValueError(f"delta must be >= 2, got {self.delta}")
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not 0 < self.rate_hz < math.inf:
-            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
+        for name, low in (("delta", 2), ("kappa", 1), ("stride", 1), ("rate_hz", None)):
+            check_setting(self, name, low)
 
 
 @dataclass
@@ -335,9 +342,8 @@ def parse_scene_meta(path) -> dict:
         if key == "scene_id":
             _file_id(value, f"{path} line {line_no}", key)
         meta[key] = value
-    for key in ("scene_id", "meters_per_pixel", "label_map"):
-        if key not in meta:
-            raise DataError(f"{path}: missing key {key!r}")
+    if missing := [k for k in ("scene_id", "meters_per_pixel", "label_map") if k not in meta]:
+        raise DataError(f"{path}: missing key {missing[0]!r}")
     return meta
 
 

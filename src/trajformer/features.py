@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AgentTrack, TrajectoryWindow
+from .data import AgentTrack, TrajectoryWindow, check_setting
 from .maps import N_LABELS, SceneMap
 
 AGENT_CHANNEL = {"pedestrian": 0, "vehicle": 1, "cyclist": 2}
@@ -31,10 +31,9 @@ class PolarGridConfig:
     type_channels: int = 3       # 3 = one per agent type, 1 = all types pooled
 
     def __post_init__(self):
-        if not 0 < self.threshold_px < np.inf:
-            raise ValueError(f"threshold_px must be positive and finite, got {self.threshold_px}")
-        if self.radial_bins < 1 or self.angular_bins < 1:
-            raise ValueError("radial_bins and angular_bins must be >= 1")
+        for name, low in (("threshold_px", None), ("radial_bins", 1), ("angular_bins", 1),
+                          ("type_channels", 1)):
+            check_setting(self, name, low)
         if self.type_channels not in (1, 3):
             raise ValueError(f"type_channels must be 1 or 3, got {self.type_channels}")
 
@@ -49,10 +48,8 @@ class SemanticConfig:
     d_max_px: float = 32.0  # search radius
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0 < self.d_max_px < np.inf:
-            raise ValueError(f"d_max_px must be positive and finite, got {self.d_max_px}")
+        check_setting(self, "k", 1)
+        check_setting(self, "d_max_px")
 
 
 def feature_dim(pg: PolarGridConfig, sc: SemanticConfig, context: bool = True) -> int:

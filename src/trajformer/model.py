@@ -207,7 +207,6 @@ def multi_head_attention(
     mask: np.ndarray | None,
     params: ModelParams,
     prefix: str,
-    attn_sink: list | None = None,
 ) -> Tensor:
     """Attention over rows (..., L, d_model); leading axes are windows."""
     cfg = params.config
@@ -222,11 +221,7 @@ def multi_head_attention(
         x = ad.affine(x, params[f"{prefix}.w{p}"], params[f"{prefix}.b{p}"])
         return ad.swapaxes(ad.reshape(x, x.shape[:-1] + (cfg.n_heads, cfg.d_k)), -3, -2)
 
-    out, weights = ad.attention(heads(queries_in, "q"), heads(keys_in, "k"),
-                                heads(values_in, "v"), mask)
-    if attn_sink is not None:
-        for h in range(cfg.n_heads):
-            attn_sink.append({"block": prefix, "head": h, "weights": weights[..., h, :, :].copy()})
+    out = ad.attention(heads(queries_in, "q"), heads(keys_in, "k"), heads(values_in, "v"), mask)
     merged = ad.reshape(ad.swapaxes(out, -3, -2), queries_in.shape[:-1] + (cfg.d_model,))
     return ad.affine(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
@@ -247,12 +242,11 @@ def _sublayer(x: Tensor, out: Tensor, params: ModelParams, norm: str,
 def encoder_forward(
     embedded: Tensor,
     params: ModelParams,
-    attn_sink: list | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     x = embedded
     for i in range(params.config.n_layers):
-        attn = multi_head_attention(x, x, x, None, params, f"enc{i}.attn", attn_sink)
+        attn = multi_head_attention(x, x, x, None, params, f"enc{i}.attn")
         x = _sublayer(x, attn, params, f"enc{i}.norm1", rng)
         x = _sublayer(x, _feed_forward(x, params, f"enc{i}.ff"), params, f"enc{i}.norm2", rng)
     return x
@@ -262,7 +256,6 @@ def decoder_forward(
     target_embedded: Tensor,
     memory: Tensor,
     params: ModelParams,
-    attn_sink: list | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     m = target_embedded.shape[-2]
@@ -271,9 +264,9 @@ def decoder_forward(
     mask = causal_mask(m)
     x = target_embedded
     for i in range(params.config.n_layers):
-        self_attn = multi_head_attention(x, x, x, mask, params, f"dec{i}.self_attn", attn_sink)
+        self_attn = multi_head_attention(x, x, x, mask, params, f"dec{i}.self_attn")
         x = _sublayer(x, self_attn, params, f"dec{i}.norm1", rng)
-        cross = multi_head_attention(x, memory, memory, None, params, f"dec{i}.cross_attn", attn_sink)
+        cross = multi_head_attention(x, memory, memory, None, params, f"dec{i}.cross_attn")
         x = _sublayer(x, cross, params, f"dec{i}.norm2", rng)
         x = _sublayer(x, _feed_forward(x, params, f"dec{i}.ff"), params, f"dec{i}.norm3", rng)
     return x
@@ -289,7 +282,6 @@ def teacher_forced_offsets(
     params: ModelParams,
     features_std: np.ndarray,
     target_offsets: np.ndarray,
-    attn_sink: list | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Predicted offsets under teacher forcing, on the tape.
@@ -304,14 +296,14 @@ def teacher_forced_offsets(
     if features.data.ndim != targets.ndim or features.shape[:-2] != targets.shape[:-2]:
         raise ValueError(f"features {features.shape} and targets {targets.shape} "
                          "do not describe the same windows")
-    memory = encoder_forward(embed_source(features, params), params, attn_sink, rng)
+    memory = encoder_forward(embed_source(features, params), params, rng)
     kappa, lead = targets.shape[-2], targets.shape[:-2]
     dec_in = params["start_token"]
     if lead:  # the one learned start row, repeated for every window
         dec_in = ad.add(Tensor(np.zeros(lead + dec_in.shape)), dec_in)
     if kappa > 1:
         dec_in = ad.concat([dec_in, Tensor(targets[..., : kappa - 1, :])], axis=-2)
-    decoded = decoder_forward(embed_target(dec_in, params), memory, params, attn_sink, rng)
+    decoded = decoder_forward(embed_target(dec_in, params), memory, params, rng)
     return project_output(decoded, params)
 
 
@@ -356,15 +348,22 @@ def predict_autoregressive(
 
 
 def teacher_forced_numpy(params: ModelParams, features_std: np.ndarray,
-                         target_offsets: np.ndarray) -> np.ndarray:
-    """``teacher_forced_offsets(...).data`` for float64 windows, bit for bit, off the tape."""
-    return _decode(params, features_std, target_offsets.shape[1], target_offsets)
+                         target_offsets: np.ndarray, attn_sink: list | None = None) -> np.ndarray:
+    """``teacher_forced_offsets(...).data`` for float64 windows, bit for bit, off the tape.
+    ``attn_sink`` gets a ``{"block", "head", "weights"}`` record per attention
+    block and head, in forward order, weights (B, Lq, Lk) over every window."""
+    weights = {} if attn_sink is not None else None
+    offsets = _decode(params, features_std, target_offsets.shape[1], target_offsets, weights)
+    for block, chunks in (weights or {}).items():
+        attn_sink += [{"block": block, "head": h, "weights": w}
+                      for h, w in enumerate(np.concatenate(chunks).swapaxes(0, 1))]
+    return offsets
 
 
 def _decode(params: ModelParams, feats: np.ndarray, kappa: int,
-            targets: np.ndarray | None = None) -> np.ndarray:
+            targets: np.ndarray | None = None, weights: dict | None = None) -> np.ndarray:
     """Offsets (B, kappa, out_dim), free-running or teacher-forced on ``targets``,
-    in chunks of ``decode_chunk_size`` windows."""
+    in chunks of ``decode_chunk_size`` windows; ``weights`` gets each block's, by chunk."""
     cfg, w = params.config, params.arrays()
     offsets = np.empty((len(feats), kappa, cfg.out_dim))
     tgt_pe = positional_encoding(kappa, cfg.d_model)
@@ -376,8 +375,10 @@ def _decode(params: ModelParams, feats: np.ndarray, kappa: int,
         return ad.affine_rows(x, w[f"{prefix}.w{p}"], w[f"{prefix}.b{p}"])
 
     def attend(x, k, v, prefix, mask=None):  # rows (B, T, d) against key/value heads
-        out = ad.attention_weights(heads(proj(x, prefix, "q")), k, mask) @ v
-        return proj(out.swapaxes(-3, -2).reshape(x.shape), prefix, "o")
+        a = ad.attention_weights(heads(proj(x, prefix, "q")), k, mask)
+        if weights is not None:
+            weights.setdefault(prefix, []).append(a)
+        return proj((a @ v).swapaxes(-3, -2).reshape(x.shape), prefix, "o")
 
     def sublayer(x, out, norm):  # residual add, then layer norm
         return ad.normalize_rows(x + out, w[f"{norm}.gain"], w[f"{norm}.bias"], 1e-5)[0]

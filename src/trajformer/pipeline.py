@@ -15,6 +15,7 @@ array that evaluation scores and ``predict`` writes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -54,11 +55,7 @@ class FeatureSet:
 
 
 def resample_scene(scene: Scene, rate_hz: float) -> Scene:
-    kept = []
-    for track in scene.tracks:
-        if len(track) < 2:
-            continue
-        kept.append(resample(track, rate_hz))
+    kept = [resample(track, rate_hz) for track in scene.tracks if len(track) >= 2]
     return Scene(scene_map=scene.scene_map, tracks=kept, meta=scene.meta)
 
 
@@ -105,6 +102,33 @@ def load_root(root, adapter: str, window: WindowConfig, grid: PolarGridConfig,
     return scenes, build_feature_set(scenes, window, grid, semantic, context)
 
 
+def inference_windows(root, adapter: str, source: dict, cache_dir, window: WindowConfig,
+                      grid: PolarGridConfig, semantic: SemanticConfig, context: bool) -> FeatureSet:
+    """The windows ``evaluate`` and ``predict`` read for ``root``, whose ``root_digest``
+    is ``source``: the first current ``*_features.bin`` in ``cache_dir``, in sorted
+    order, that records ``source``, these settings and, if ``context``, context
+    features; else those built from ``root``. Prints which, and why no cache matched."""
+    reasons = []
+    for path in sorted(Path(cache_dir).glob("*_features.bin")):
+        try:
+            fset, meta = load_feature_cache(path)
+            differing = [name for name, ok in (("source", meta.get("source") == source),
+                                               ("context", fset.context or not context)) if not ok]
+            differing += other_settings(meta, path, window, grid, semantic)
+            if not differing:
+                print(f"features: {path}")
+                break
+            reasons.append(f"{path}: cache records other {', '.join(differing)}")
+        except DataError as exc:
+            reasons.append(str(exc))
+    else:
+        print(f"features: built from {root} ({'; '.join(reasons) or 'no cache'})")
+        fset = load_root(root, adapter, window, grid, semantic, context)[1]
+    if len(fset) == 0:
+        raise DataError(f"no windows in {root}")
+    return fset
+
+
 def decode_predictor(params: ModelParams, stats: FeatureStats, fset: FeatureSet,
                      context: bool) -> np.ndarray:
     """(N, kappa, 2) absolute positions, row i forecasting window ``fset.keys[i]``,
@@ -115,10 +139,33 @@ def decode_predictor(params: ModelParams, stats: FeatureStats, fset: FeatureSet,
 
 # --------------------------------------------------------------- cache
 
+# the settings sections that feature caches and checkpoints record, with their classes
+SECTIONS = {"window": WindowConfig, "grid": PolarGridConfig, "semantic": SemanticConfig}
+
+
 def settings_record(wcfg: WindowConfig, pg: PolarGridConfig, sc: SemanticConfig) -> dict:
-    """The window, grid and semantic settings as feature caches and
-    checkpoints record them, and as runs are matched against them."""
-    return {"window": asdict(wcfg), "grid": asdict(pg), "semantic": asdict(sc)}
+    """The window, grid and semantic settings as caches and checkpoints record them."""
+    return dict(zip(SECTIONS, map(asdict, (wcfg, pg, sc))))
+
+
+def recorded_settings(meta: dict, path) -> tuple[WindowConfig, PolarGridConfig, SemanticConfig]:
+    """The settings that the feature cache or checkpoint at ``path`` records in
+    ``meta``; a section that is missing or invalid is a DataError naming ``path``."""
+    if missing := [name for name in SECTIONS if name not in meta]:
+        raise DataError(f"{path}: records no {', '.join(missing)} settings")
+    settings = []
+    for name, cls in SECTIONS.items():
+        try:
+            settings.append(cls(**meta[name]))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: invalid {name} settings ({exc})") from None
+    return tuple(settings)
+
+
+def other_settings(meta: dict, path, *settings) -> list[str]:
+    """The sections whose ``recorded_settings`` differ from a run's ``settings``."""
+    return [name for name, a, b in zip(SECTIONS, recorded_settings(meta, path), settings)
+            if a != b]
 
 
 def save_feature_cache(path, fset: FeatureSet, wcfg: WindowConfig, pg: PolarGridConfig,
@@ -141,9 +188,8 @@ def load_feature_cache(path) -> tuple[FeatureSet, dict]:
         raise DataError(f"{path}: not a feature cache")
     if (version := meta.get("cache_version")) != CACHE_VERSION:
         raise DataError(f"{path}: feature cache version {version!r}, expected {CACHE_VERSION}")
-    missing = ([n for n in CACHE_ARRAYS if n not in arrays]
-               + [n for n in ("keys", "context") if n not in meta])
-    if missing:
+    if missing := ([n for n in CACHE_ARRAYS if n not in arrays]
+                   + [n for n in ("keys", "context") if n not in meta]):
         raise DataError(f"{path}: feature cache lacks {', '.join(missing)}")
     keys = meta["keys"]
     bad = [keys] if type(keys) is not list else [

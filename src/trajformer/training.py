@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import check_setting
 from .errors import DivergenceError
 from .model import (AdamState, ModelConfig, ModelParams, teacher_forced_numpy,
                     teacher_forced_offsets)
@@ -36,15 +37,13 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("epochs", "batch_size"):
+            check_setting(self, name, 1)
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise ValueError(f"beta1 and beta2 must lie in (0, 1), got {self.beta1}, {self.beta2}")
         for name in ("learning_rate", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if self.grad_clip is not None and self.grad_clip <= 0:

@@ -18,7 +18,8 @@ from trajformer.features import (FeatureStats, PolarGridConfig, SemanticConfig, 
                                  semantic_histogram)
 from trajformer.maps import SceneMap
 from trajformer.model import (ModelConfig, ModelParams, positional_encoding,
-                              predict_autoregressive, teacher_forced_offsets)
+                              predict_autoregressive, teacher_forced_numpy,
+                              teacher_forced_offsets)
 from trajformer.pipeline import build_feature_set, decode_predictor
 from trajformer.synth import generate_scenes
 from trajformer.training import TrainConfig, train
@@ -75,8 +76,8 @@ def test_attention_normalization():
     params = ModelParams(config, seed=2)
     rng = np.random.default_rng(3)
     sink = []
-    teacher_forced_offsets(params, rng.normal(size=(9, 12)), rng.normal(size=(7, 2)),
-                           attn_sink=sink)
+    teacher_forced_numpy(params, rng.normal(size=(1, 9, 12)), rng.normal(size=(1, 7, 2)),
+                         attn_sink=sink)
     assert len(sink) == config.n_layers * config.n_heads * 3
     worst = 0.0
     for record in sink:

@@ -339,15 +339,15 @@ def test_gradcheck_each_op(name):
         elif name == "attention":
             leaves = [Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(5, 4))),
                       Tensor(rng.normal(size=(5, 4)))]
-            build = lambda ls: scalarize(ad.attention(*ls)[0])
+            build = lambda ls: scalarize(ad.attention(*ls))
         elif name == "attention_causal":
             leaves = [Tensor(rng.normal(size=(2, 2, 4, 3))) for _ in range(3)]
             mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
-            build = lambda ls, mask=mask: scalarize(ad.attention(*ls, mask)[0])
+            build = lambda ls, mask=mask: scalarize(ad.attention(*ls, mask))
         elif name == "attention_batched":
             leaves = [Tensor(rng.normal(size=(2, 3, 4, 2))), Tensor(rng.normal(size=(2, 3, 5, 2))),
                       Tensor(rng.normal(size=(2, 3, 5, 2)))]
-            build = lambda ls: scalarize(ad.attention(*ls)[0])
+            build = lambda ls: scalarize(ad.attention(*ls))
         elif name == "concat0":
             leaves = [Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(3, 4)))]
             build = lambda ls: scalarize(ad.concat(ls, axis=0))
@@ -368,7 +368,8 @@ def test_attention_matches_composed_ops():
     rng = np.random.default_rng(8)
     q, k, v = (rng.normal(size=(2, 4, 3)) for _ in range(3))
     mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
-    out, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+    weights = ad.attention_weights(q, k, mask)
     for b in range(2):
         scores = ad.scale(matmul(Tensor(q[b]), transpose(Tensor(k[b]))), 1 / np.sqrt(3))
         w = softmax(ad.add(scores, Tensor(np.where(mask, -np.inf, 0.0))), axis=-1)

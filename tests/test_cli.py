@@ -13,7 +13,7 @@ import pytest
 from oracle_helpers import load_report
 
 import trajformer
-from trajformer import cli, data
+from trajformer import cli, data, pipeline
 from trajformer.cli import main
 from trajformer.config import build_run_config
 from trajformer.data import root_digest
@@ -400,7 +400,7 @@ def test_root_without_scene_map_exits_2_and_writes_nothing(tmp_path, dataset, ca
             assert run("preprocess", *desk_args(dataset, target,
                                                 [f"data.test_root={broken}"])) == 0
             assert run(*argv) == 0
-            assert f"test features: {target / 'cache' / 'test_features.bin'}" in \
+            assert f"features: {target / 'cache' / 'test_features.bin'}" in \
                 capsys.readouterr().out
     else:  # an output directory that already holds both roots' caches
         target = out
@@ -457,22 +457,53 @@ def test_predict_checkpoint_without_settings_exits_2(tmp_path, dataset, capsys):
         assert not pred_dir.exists()
 
 
+def rewrite_setting(ckpt, bad, section, key, value):
+    """Copy the checkpoint ``ckpt`` to ``bad`` with ``section.key`` set to ``value``."""
+    arrays, meta = load_bundle(ckpt)
+    save_bundle(bad, arrays, {**meta, section: {**meta[section], key: value}})
+
+
 @pytest.mark.parametrize("section,key,value", [("semantic", "d_max_px", float("nan")),
                                                ("window", "rate_hz", float("nan")),
-                                               ("grid", "threshold_px", float("inf"))])
+                                               ("grid", "threshold_px", float("inf")),
+                                               ("semantic", "k", 2.5),
+                                               ("window", "delta", float("nan")),
+                                               ("grid", "radial_bins", 2.5),
+                                               ("window", "stride", float("inf"))])
 def test_predict_checkpoint_with_non_finite_setting_exits_2(tmp_path, dataset, capsys,
                                                             section, key, value):
     out = train_pipeline(tmp_path, dataset)
-    arrays, meta = load_bundle(out / "model.ckpt")
     bad = tmp_path / "bad.ckpt"
-    save_bundle(bad, arrays, {**meta, section: {**meta[section], key: value}})
+    rewrite_setting(out / "model.ckpt", bad, section, key, value)
     pred_dir = tmp_path / "pred"
     capsys.readouterr()
     assert run("predict", "--checkpoint", str(bad), "--root", str(dataset),
                "--out", str(pred_dir)) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and key in err
+    assert "Traceback" not in err
     assert not pred_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "resume"])
+def test_checkpoint_with_non_integer_setting_exits_2_naming_it(tmp_path, dataset, capsys,
+                                                               command):
+    out = train_pipeline(tmp_path, dataset)
+    bad = tmp_path / "bad.ckpt"
+    rewrite_setting(out / "model.ckpt", bad, "semantic", "k", 2.5)
+    if command == "evaluate":
+        target = tmp_path / "scored"
+        argv = ["evaluate", *desk_args(dataset, target), "--test-root", str(dataset),
+                "--checkpoint", str(bad), "--allow-same-dataset"]
+    else:
+        target = out
+        argv = ["train", *desk_args(dataset, out, ["train.epochs=3"]), "--resume", str(bad)]
+    before = snapshot(target)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert f"{bad}: invalid semantic settings (k must be an integer, got 2.5)" in \
+        capsys.readouterr().err
+    assert snapshot(target) == before
 
 
 @pytest.mark.parametrize("epochs_done", [None, "two", 1.5], ids=["missing", "string", "float"])
@@ -643,17 +674,38 @@ def evaluate_held_out(dataset, out, held):
     return {name: (out / name).read_bytes() for name in ("report.csv", "report.md")}
 
 
-def test_evaluate_reads_the_matching_test_cache(held_out, dataset, capsys, monkeypatch):
+def predict_held_out(out, held, pred_dir):
+    """predictions.csv and every SVG of ``predict --plot`` on ``held``, by path."""
+    assert run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(held),
+               "--out", str(pred_dir), "--plot") == 0
+    return {p.relative_to(pred_dir): p.read_bytes() for p in sorted(pred_dir.rglob("*"))
+            if p.is_file() and p.name != ".lock"}
+
+
+def infer_held_out(command, dataset, out, held, pred_dir):
+    """The outputs of ``command`` on ``held`` with the model in ``out``: evaluate
+    writes its report into ``out``, predict into ``pred_dir``. Both read their
+    windows from ``out / "cache"`` when a cache there matches."""
+    if command == "evaluate":
+        return evaluate_held_out(dataset, out, held)
+    return predict_held_out(out, held, pred_dir)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_evaluate_and_predict_read_the_matching_cache(held_out, dataset, tmp_path, capsys,
+                                                      monkeypatch, command):
     out, held = held_out
-    cache = out / "cache" / "test_features.bin"
     with monkeypatch.context() as m:
-        m.setattr(cli, "load_root", lambda *a, **k: pytest.fail("test root was loaded"))
+        m.setattr(pipeline, "load_root", lambda *a, **k: pytest.fail("test root was loaded"))
+        m.setattr(data, "load_tracks", lambda *a, **k: pytest.fail("a tracks file was read"))
         capsys.readouterr()
-        cached = evaluate_held_out(dataset, out, held)
-    assert f"test features: {cache}\n" in capsys.readouterr().out
-    cache.unlink()
-    assert evaluate_held_out(dataset, out, held) == cached
-    assert f"test features: built from {held} (no cache)" in capsys.readouterr().out
+        cached = infer_held_out(command, dataset, out, held, tmp_path / "cached")
+    assert f"features: {out / 'cache' / 'test_features.bin'}\n" in capsys.readouterr().out
+    if command == "predict":
+        assert len([p for p in cached if p.suffix == ".svg"]) == 32
+    shutil.rmtree(out / "cache")
+    assert infer_held_out(command, dataset, out, held, tmp_path / "built") == cached
+    assert f"features: built from {held} (no cache)\n" in capsys.readouterr().out
 
 
 def edit_one_byte(path):
@@ -666,19 +718,24 @@ def edit_one_byte(path):
     path.write_text("\n".join(lines))
 
 
-BUILD_REASONS = {"tracks_byte": "(cache records other source)",
-                 "semantic": "(cache records other semantic)",
-                 "no_context": "(cache records other context)",
-                 "old_version": "test_features.bin: feature cache version 1, expected 2)",
-                 "no_cache": "(no cache)"}
+# why each cache, test then train, does not match; the train cache is of another root
+BUILD_REASONS = {"tracks_byte": ("cache records other source", "cache records other source"),
+                 "semantic": ("cache records other semantic",
+                              "cache records other source, semantic"),
+                 "no_context": ("cache records other context",
+                                "cache records other source, context"),
+                 "old_version": ("feature cache version 1, expected 2",
+                                 "cache records other source"),
+                 "no_cache": None}
 
 
 @pytest.mark.parametrize("change", list(BUILD_REASONS))
-def test_evaluate_builds_from_the_root_unless_the_cache_matches(held_out, dataset, capsys,
-                                                                  change):
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_evaluate_and_predict_build_from_the_root_unless_a_cache_matches(
+        held_out, dataset, tmp_path, capsys, command, change):
     out, held = held_out
-    cache = out / "cache" / "test_features.bin"
-    before = evaluate_held_out(dataset, out, held)
+    cache_dir = out / "cache"
+    before = infer_held_out(command, dataset, out, held, tmp_path / "before")
     if change == "tracks_byte":
         edit_one_byte(held / "linear_s2_00" / "tracks.csv")
     elif change in ("semantic", "no_context"):
@@ -686,69 +743,18 @@ def test_evaluate_builds_from_the_root_unless_the_cache_matches(held_out, datase
         assert run("preprocess",
                    *desk_args(dataset, out, [f"data.test_root={held}", other])) == 0
     elif change == "old_version":
-        arrays, meta = load_bundle(cache)
-        save_bundle(cache, arrays, {**meta, "cache_version": 1})
+        arrays, meta = load_bundle(cache_dir / "test_features.bin")
+        save_bundle(cache_dir / "test_features.bin", arrays, {**meta, "cache_version": 1})
     else:
-        cache.unlink()
+        shutil.rmtree(cache_dir)
     capsys.readouterr()
-    after = evaluate_held_out(dataset, out, held)
-    printed = capsys.readouterr().out
-    assert f"test features: built from {held} (" in printed and BUILD_REASONS[change] in printed
+    after = infer_held_out(command, dataset, out, held, tmp_path / "after")
+    reasons = "; ".join(f"{cache_dir / f'{tag}_features.bin'}: {why}"
+                        for tag, why in zip(("test", "train"), BUILD_REASONS[change] or ()))
+    assert f"features: built from {held} ({reasons or 'no cache'})\n" in capsys.readouterr().out
     assert (after != before) == (change == "tracks_byte")
-    cache.unlink(missing_ok=True)  # the report of a build from the root as it now is
-    assert evaluate_held_out(dataset, out, held) == after
-
-
-def predict_held_out(out, held, pred_dir):
-    """predictions.csv and every SVG of ``predict --plot`` on ``held``, by path."""
-    assert run("predict", "--checkpoint", str(out / "model.ckpt"), "--root", str(held),
-               "--out", str(pred_dir), "--plot") == 0
-    return {p.relative_to(pred_dir): p.read_bytes() for p in sorted(pred_dir.rglob("*"))
-            if p.is_file() and p.name != ".lock"}
-
-
-def test_predict_reads_the_matching_cache_beside_its_checkpoint(held_out, tmp_path, capsys,
-                                                               monkeypatch):
-    out, held = held_out
-    with monkeypatch.context() as m:
-        m.setattr(cli, "load_root", lambda *a, **k: pytest.fail("test root was loaded"))
-        m.setattr(data, "load_tracks", lambda *a, **k: pytest.fail("a tracks file was read"))
-        capsys.readouterr()
-        cached = predict_held_out(out, held, tmp_path / "cached")
-    assert f"features: {out / 'cache' / 'test_features.bin'}\n" in capsys.readouterr().out
-    assert len([p for p in cached if p.suffix == ".svg"]) == 32
-    shutil.rmtree(out / "cache")
-    assert predict_held_out(out, held, tmp_path / "built") == cached
-    assert f"features: built from {held} (no cache)\n" in capsys.readouterr().out
-
-
-PREDICT_REASONS = {"tracks_byte": "(test_features.bin: cache records other source; "
-                                  "train_features.bin: cache records other source)",
-                   "semantic": "(test_features.bin: cache records other semantic; "
-                               "train_features.bin: cache records other source, semantic)",
-                   "no_context": "(test_features.bin: cache records other context)",
-                   "no_cache": "(no cache)"}
-
-
-@pytest.mark.parametrize("change", list(PREDICT_REASONS))
-def test_predict_builds_from_the_root_unless_a_cache_matches(held_out, dataset, tmp_path,
-                                                              capsys, change):
-    out, held = held_out
-    if change == "tracks_byte":
-        edit_one_byte(held / "linear_s2_00" / "tracks.csv")
-    elif change in ("semantic", "no_context"):
-        other = "semantic.k=2" if change == "semantic" else "context.enabled=false"
-        assert run("preprocess",
-                   *desk_args(dataset, out, [f"data.test_root={held}", other])) == 0
-        if change == "no_context":  # the context-off test cache is the only one
-            (out / "cache" / "train_features.bin").unlink()
-    else:
-        shutil.rmtree(out / "cache")
-    capsys.readouterr()
-    after = predict_held_out(out, held, tmp_path / "after")
-    assert f"features: built from {held} {PREDICT_REASONS[change]}\n" in capsys.readouterr().out
-    shutil.rmtree(out / "cache", ignore_errors=True)  # a build from the root as it now is
-    assert predict_held_out(out, held, tmp_path / "built") == after
+    shutil.rmtree(cache_dir, ignore_errors=True)  # the outputs of a build from the root as it now is
+    assert infer_held_out(command, dataset, out, held, tmp_path / "built") == after
 
 
 def test_predict_offsets_only_checkpoint_uses_a_context_cache(held_out, dataset, tmp_path,
@@ -785,11 +791,13 @@ def test_malformed_cache_is_a_non_match_and_train_exits_2(held_out, dataset, tmp
              "short_rows": "obs_m rows differ from its"}[fault]
     capsys.readouterr()
     assert evaluate_held_out(dataset, out, held) == before
-    assert f"test features: built from {held} ({out / 'cache' / 'test_features.bin'}: " \
-        in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert f"features: built from {held} ({out / 'cache' / 'test_features.bin'}: " in printed
+    assert named in printed
     predict_held_out(out, held, tmp_path / "pred")
     printed = capsys.readouterr().out
-    assert f"features: built from {held} (test_features.bin: " in printed and named in printed
+    assert f"features: built from {held} ({out / 'cache' / 'test_features.bin'}: " in printed
+    assert named in printed
     ckpt = (out / "model.ckpt").read_bytes()
     assert run("train", *desk_args(dataset, out, ["train.epochs=4"])) == 2
     err = capsys.readouterr().err

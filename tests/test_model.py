@@ -139,10 +139,10 @@ def test_attention_fully_masked_row_errors():
 def test_attention_rows_sum_to_one_via_hook():
     params = tiny_params(seed=5)
     rng = np.random.default_rng(6)
-    features = rng.normal(size=(7, TINY.feature_dim))
-    targets = rng.normal(size=(5, 2))
+    features = rng.normal(size=(2, 7, TINY.feature_dim))
+    targets = rng.normal(size=(2, 5, 2))
     sink = []
-    teacher_forced_offsets(params, features, targets, attn_sink=sink)
+    teacher_forced_numpy(params, features, targets, attn_sink=sink)
     # every layer and head of encoder self-, decoder self- and cross-attention
     assert len(sink) == TINY.n_layers * TINY.n_heads * 3
     for record in sink:
@@ -439,16 +439,18 @@ def test_batched_forward_equals_per_window_forward():
     features = rng.normal(size=(4, 6, TINY.feature_dim))
     targets = rng.normal(size=(4, 5, 2))
     sink = []
-    batched = teacher_forced_offsets(params, features, targets, attn_sink=sink).data
+    batched = teacher_forced_offsets(params, features, targets).data
     assert batched.shape == (4, 5, 2)
+    teacher_forced_numpy(params, features, targets, attn_sink=sink)
     assert len(sink) == TINY.n_layers * TINY.n_heads * 3
     for i in range(4):
         one_sink = []
-        one = teacher_forced_offsets(params, features[i], targets[i], attn_sink=one_sink).data
+        one = teacher_forced_offsets(params, features[i], targets[i]).data
         assert np.max(np.abs(batched[i] - one)) <= 1e-12 * np.max(np.abs(one))
+        teacher_forced_numpy(params, features[i:i + 1], targets[i:i + 1], attn_sink=one_sink)
         for rec, one_rec in zip(sink, one_sink):
             assert (rec["block"], rec["head"]) == (one_rec["block"], one_rec["head"])
-            assert np.max(np.abs(rec["weights"][i] - one_rec["weights"])) < 1e-12
+            assert np.max(np.abs(rec["weights"][i] - one_rec["weights"][0])) < 1e-12
     with pytest.raises(ValueError, match="same windows"):
         teacher_forced_offsets(params, features, targets[0])
 
